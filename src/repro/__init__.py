@@ -34,9 +34,7 @@ Quick start::
 from repro.protocols.registry import (
     PAPER_CONFIGURATIONS,
     Protocol,
-    ProtocolSpec,
     get_protocol,
-    get_protocol_spec,
     list_protocol_names,
     register_configuration,
     register_protocol,
@@ -70,10 +68,8 @@ __all__ = [
     "SimulationResult",
     "build_system",
     "Protocol",
-    "ProtocolSpec",
     "PAPER_CONFIGURATIONS",
     "get_protocol",
-    "get_protocol_spec",
     "list_protocol_names",
     "register_protocol",
     "register_configuration",

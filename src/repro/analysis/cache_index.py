@@ -1,8 +1,8 @@
 """A persistent index over the content-addressed result cache.
 
 The :class:`~repro.analysis.parallel.ResultCache` tree is the *product*
-every subsystem funnels through — sweeps, fuzz campaigns, shard merges and
-the perf gate all read and write ``<root>/<key[:2]>/<key>.json`` entries.
+every subsystem funnels through — sweeps, fuzz campaigns and shard merges
+all read and write ``<root>/<key[:2]>/<key>.json`` entries.
 This module adds the storage-layer features that turn the bag of JSON files
 into a served resource:
 

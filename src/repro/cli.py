@@ -844,49 +844,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return handlers[args.fuzz_command](args)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.gate import run_gate
-    from repro.perf.harness import profile_metric, run_bench, write_bench
-
-    root = Path(args.root)
-    if args.profile is not None:
-        save = Path(args.save_profile) if args.save_profile else None
-        report = profile_metric(args.profile, top=args.top, save=save)
-        print(report, end="")
-        if save is not None:
-            print(f"wrote {save}")
-        return 0
-    payload = run_bench(repeats=args.repeats, bench_id=args.bench_id,
-                        progress=print)
-    print("\nmetrics (median of "
-          f"{args.repeats}):")
-    for name, value in sorted(payload["metrics"].items()):
-        print(f"  {name}: {value:.4g}")
-
-    exit_code = 0
-    if args.check:
-        gate = run_gate(payload, root, tolerance=args.tolerance)
-        for warning in gate.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        if gate.baseline_path is not None:
-            print(f"\ngate: comparing against {gate.baseline_path} "
-                  f"(tolerance {args.tolerance:.0%})")
-        for line in gate.comparisons:
-            print(f"  {line}")
-        if not gate.passed:
-            for regression in gate.regressions:
-                print(f"REGRESSION: {regression}", file=sys.stderr)
-            exit_code = 1
-        else:
-            print("gate: PASS")
-
-    written = write_bench(payload, root,
-                          update_baseline=args.update_baseline)
-    for path in written:
-        print(f"wrote {path}")
-    return exit_code
-
-
 # ------------------------------------------------------------------ cache
 
 _BYTE_SUFFIXES = {"": 1, "k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
@@ -1715,40 +1672,6 @@ def build_parser() -> argparse.ArgumentParser:
     suites.add_argument("name", nargs="?", default=None,
                         help="suite name (with or without the suite: prefix)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="time the pinned perf workloads; emit BENCH_<n>.json and "
-             "optionally gate against the newest prior baseline")
-    bench.add_argument("--check", action="store_true",
-                       help="compare against the newest prior BENCH_*.json / "
-                            "committed baseline and exit nonzero on regression")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       help="relative regression tolerance for --check "
-                            "(default: 0.35)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed passes per metric; the median is reported "
-                            "(default: 3)")
-    bench.add_argument("--root", default=".",
-                       help="repository root where BENCH_<n>.json and "
-                            "benchmarks/results/ live (default: .)")
-    bench.add_argument("--bench-id", type=int, default=None,
-                       help="override the bench sequence number "
-                            "(default: the checkout's CURRENT_BENCH_ID)")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="overwrite the committed baseline under "
-                            "benchmarks/results/ with this measurement")
-    from repro.perf.harness import METRIC_DIRECTIONS as _bench_metrics
-    bench.add_argument("--profile", choices=sorted(_bench_metrics),
-                       default=None, metavar="METRIC",
-                       help="instead of timing, run one pinned pass of "
-                            "METRIC under cProfile and print the hotspots "
-                            f"(choices: {', '.join(sorted(_bench_metrics))})")
-    bench.add_argument("--top", type=int, default=25,
-                       help="number of functions shown by --profile "
-                            "(default: 25)")
-    bench.add_argument("--save-profile", default=None, metavar="PATH",
-                       help="also write the --profile report to PATH")
-
     return parser
 
 
@@ -1771,16 +1694,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "trace": _cmd_trace,
         "suites": _cmd_suites,
-        "bench": _cmd_bench,
     }
-    if args.command == "bench":
-        from repro.perf.gate import DEFAULT_TOLERANCE
-        from repro.perf.harness import CURRENT_BENCH_ID
-
-        if args.tolerance is None:
-            args.tolerance = DEFAULT_TOLERANCE
-        if args.bench_id is None:
-            args.bench_id = CURRENT_BENCH_ID
     return handlers[args.command](args)
 
 

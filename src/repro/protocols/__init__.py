@@ -41,9 +41,7 @@ from repro.protocols.registry import (
     PAPER_CONFIGURATIONS,
     VARIANT_GROUPS,
     Protocol,
-    ProtocolSpec,
     get_protocol,
-    get_protocol_spec,
     list_protocol_names,
     register_configuration,
     register_protocol,
@@ -71,12 +69,10 @@ __all__ = [
     "BaseL2Controller",
     "PendingTransaction",
     "Protocol",
-    "ProtocolSpec",
     "PAPER_CONFIGURATIONS",
     "VARIANT_GROUPS",
     "StorageModel",
     "get_protocol",
-    "get_protocol_spec",
     "list_protocol_names",
     "register_protocol",
     "register_configuration",

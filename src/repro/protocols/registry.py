@@ -284,13 +284,3 @@ def get_protocol(name_or_protocol) -> Protocol:
     if isinstance(name_or_protocol, TSOCCConfig):
         return PROTOCOL_FAMILIES["tsocc"](name_or_protocol)
     raise TypeError(f"cannot resolve protocol from {name_or_protocol!r}")
-
-
-#: Deprecated aliases from the pre-plugin registry (PR 2 refactor).  The
-#: resolved object is now a :class:`Protocol` plugin rather than a frozen
-#: spec; it exposes the same read surface (``name`` / ``kind`` /
-#: ``is_baseline`` / ``tsocc``) and works for ``isinstance`` checks, but the
-#: old ``ProtocolSpec(name=..., kind=..., tsocc=...)`` constructor is gone —
-#: resolve through :func:`get_protocol` or instantiate a family class.
-ProtocolSpec = Protocol
-get_protocol_spec = get_protocol

@@ -4,13 +4,9 @@ The per-protocol inventories live on the protocol plugins
 (:meth:`repro.protocols.registry.Protocol.overhead_bits`): the full-map
 directory formula on the MESI/MSI plugins and the Table 1 inventory on the
 TSO-CC plugin (:mod:`repro.protocols.tsocc.storage`).  This module provides
-
-* :class:`StorageModel` — the protocol-agnostic calculator used by the
-  Figure 2 / Table 1 benchmarks, examples and the CLI; any registered
-  protocol (or ad-hoc ``TSOCCConfig``) can be queried through it, and
-* the deprecated module-level helpers ``mesi_overhead_bits`` /
-  ``tsocc_overhead_bits`` kept for pre-plugin callers (they delegate to the
-  plugins).
+:class:`StorageModel`, the protocol-agnostic calculator used by the
+Figure 2 / Table 1 benchmarks, examples and the CLI; any registered
+protocol (or ad-hoc ``TSOCCConfig``) can be queried through it.
 
 The headline result reproduced by Figure 2 is that MESI's overhead grows
 linearly with the core count (the sharing vector) while TSO-CC's per-line
@@ -31,22 +27,6 @@ from repro.sim.config import SystemConfig
 def log2_ceil(value: int) -> int:
     """Number of bits needed to encode ``value`` distinct identifiers."""
     return max(1, math.ceil(math.log2(max(2, value))))
-
-
-#: Deprecated alias (the pre-plugin name).
-_log2_ceil = log2_ceil
-
-
-def mesi_overhead_bits(system: SystemConfig) -> int:
-    """Deprecated: total coherence storage (bits) of the MESI baseline.
-    Use ``get_protocol("MESI").overhead_bits(system)``."""
-    return get_protocol("MESI").overhead_bits(system)
-
-
-def tsocc_overhead_bits(system: SystemConfig, config) -> int:
-    """Deprecated: total coherence storage (bits) of a TSO-CC configuration.
-    Use ``get_protocol(config).overhead_bits(system)``."""
-    return get_protocol(config).overhead_bits(system)
 
 
 @dataclass

@@ -30,12 +30,6 @@ class TSOCCProtocol(Protocol):
             raise TypeError(f"TSOCCProtocol requires a TSOCCConfig, got {config!r}")
         self.config = config
 
-    @property
-    def tsocc(self) -> TSOCCConfig:
-        """Deprecated alias for :attr:`config` (pre-plugin ``ProtocolSpec``
-        field name)."""
-        return self.config
-
     @classmethod
     def configurations(cls) -> Sequence["TSOCCProtocol"]:
         return tuple(cls(config) for config in PAPER_TSOCC_CONFIGS)

@@ -10,8 +10,9 @@ communicate by calling each other and scheduling continuations — which keeps
 the per-event overhead small enough to simulate tens of millions of events in
 pure Python.
 
-Event-queue design (measured with ``repro bench --profile``; see DESIGN.md
-"Engine internals"):
+Event-queue design (measured with the host-time benchmark under ``bench/``,
+whose traced pass reports this module as the ``sim.engine`` layer; see
+DESIGN.md "Engine internals"):
 
 Nearly every delay in the model is a small bounded integer — cache hit
 latencies, router/link traversals, tag access, the memory latency range — so
@@ -47,9 +48,8 @@ Hot-path notes:
 * :meth:`Simulator.run` drains whole buckets inline; the per-event work is
   one tuple unpack, one stop-flag load and the callback call.
 * Completion is signalled through :meth:`Simulator.request_stop` (a plain
-  attribute check per event) rather than re-evaluating an ``until()``
-  closure on every event; ``until`` and ``max_events`` remain supported via
-  a per-event slow path.
+  attribute check per event); the only other stopping condition is the
+  ``max_cycles`` watchdog, checked once per drained bucket.
 * :meth:`Simulator.schedule_call` schedules a callable *with arguments*
   without forcing the caller to allocate a closure per event (the network's
   delivery path uses this: one bound method + argument tuple per message).
@@ -162,24 +162,12 @@ class Simulator:
             heapq.heappush(self._spill,
                            (self.now + delay, next(self._seq), callback, args))
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at absolute ``time`` (must be >= now)."""
-        delta = time - self.now
-        if delta < 0:
-            raise ValueError(f"cannot schedule at {time} (now={self.now})")
-        if delta < self._ring_size:
-            self._buckets[time & self._mask].append((callback, _NO_ARGS))
-            self._ring_count += 1
-        else:
-            heapq.heappush(self._spill,
-                           (time, next(self._seq), callback, _NO_ARGS))
-
     def request_stop(self) -> None:
         """Ask :meth:`run` to return before executing the next event.
 
-        This is the cheap completion signal: instead of evaluating an
-        ``until()`` predicate after every event, a completion callback (e.g.
-        the last core finishing) flips this flag once.
+        This is the completion signal: a completion callback (e.g. the last
+        core finishing) flips this flag once, and the run loop checks it as
+        one attribute load per event.
         """
         self.stop_requested = True
 
@@ -226,47 +214,20 @@ class Simulator:
 
     # -- execution -----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next event; return ``False`` if the queue was empty."""
-        if not self._ring_count and not self._spill:
-            return False
-        time, bucket = self._peek_next()
-        callback, args = bucket.pop(0)
-        self._ring_count -= 1
-        self.now = time
-        self.events_executed += 1
-        callback(*args)
-        return True
-
-    def run(
-        self,
-        until: Optional[Callable[[], bool]] = None,
-        max_cycles: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Run events until completion or a stopping condition.
+    def run(self, max_cycles: Optional[int] = None) -> None:
+        """Run events until the queue empties or :meth:`request_stop`.
 
         Args:
-            until: optional predicate checked before every event; the run
-                stops as soon as it returns ``True``.  Prefer
-                :meth:`request_stop` where possible — a predicate closure is
-                re-evaluated per event on the hottest loop in the simulator.
             max_cycles: optional hard bound on simulated time.  The *next
                 event's own timestamp* is checked **before** its callback
                 runs, so an event scheduled past the bound never executes.
                 Exceeding the bound raises :class:`RuntimeError` naming the
                 offending event time.
-            max_events: optional hard bound on executed events; the run may
-                execute exactly ``max_events`` events and raises
-                :class:`RuntimeError` when more remain.
 
         The run ends normally when the event queue empties, or early when
         :meth:`request_stop` was called (the flag is left set; callers that
         reuse the engine afterwards should clear ``stop_requested``).
         """
-        if until is not None or max_events is not None:
-            self._run_checked(until, max_cycles, max_events)
-            return
         spill = self._spill
         while self._ring_count or spill:
             if self.stop_requested:
@@ -297,35 +258,3 @@ class Simulator:
                     del bucket[:executed]
                 self._ring_count -= executed
                 self.events_executed += executed
-
-    def _run_checked(
-        self,
-        until: Optional[Callable[[], bool]],
-        max_cycles: Optional[int],
-        max_events: Optional[int],
-    ) -> None:
-        """Per-event loop honouring ``until``/``max_events`` exactly as the
-        pre-calendar engine did (checks in the same order, before every
-        event).  Off the hot path: ``System.run`` uses the bucket drain."""
-        while self._ring_count or self._spill:
-            if self.stop_requested:
-                return
-            if until is not None and until():
-                return
-            time, bucket = self._peek_next()
-            if max_cycles is not None and time > max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded max_cycles={max_cycles}: next event "
-                    f"is scheduled at cycle {time} "
-                    f"(events executed: {self.events_executed}, now={self.now})"
-                )
-            if max_events is not None and self.events_executed >= max_events:
-                raise RuntimeError(
-                    f"simulation reached max_events={max_events} at cycle "
-                    f"{self.now} with {self.pending_events} events still pending"
-                )
-            callback, args = bucket.pop(0)
-            self._ring_count -= 1
-            self.now = time
-            self.events_executed += 1
-            callback(*args)

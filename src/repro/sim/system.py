@@ -225,9 +225,7 @@ class System:
             core.start()
 
         # Completion is signalled by _core_finished() flipping the engine's
-        # stop flag — checked as one attribute load per event instead of
-        # re-evaluating a closure (run() used to pass an `until` predicate
-        # here, which cProfile showed as a top-5 cost on long runs).
+        # stop flag, checked as one attribute load per event.
         self.sim.run(max_cycles=max_cycles)
         finished = self._finished_cores >= running_cores
         if not finished:

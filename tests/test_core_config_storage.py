@@ -18,11 +18,7 @@ from repro.protocols.registry import (
     get_protocol,
     list_protocol_names,
 )
-from repro.protocols.storage import (
-    StorageModel,
-    mesi_overhead_bits,
-    tsocc_overhead_bits,
-)
+from repro.protocols.storage import StorageModel
 from repro.sim.config import SystemConfig
 
 
@@ -90,7 +86,6 @@ def test_get_protocol_accepts_names_plugins_and_configs():
     assert get_protocol("MESI").kind == "mesi"
     protocol = get_protocol(TSO_CC_4_12_3)
     assert protocol.kind == "tsocc" and protocol.config is TSO_CC_4_12_3
-    assert protocol.tsocc is TSO_CC_4_12_3          # deprecated alias
     assert get_protocol(protocol) is protocol
     with pytest.raises(KeyError):
         get_protocol("MESIF")          # not (yet) a registered plugin
@@ -102,8 +97,9 @@ def test_get_protocol_accepts_names_plugins_and_configs():
 
 def test_mesi_overhead_scales_linearly_with_cores():
     system = SystemConfig()
-    bits_32 = mesi_overhead_bits(system.with_cores(32))
-    bits_128 = mesi_overhead_bits(system.with_cores(128))
+    mesi = get_protocol("MESI")
+    bits_32 = mesi.overhead_bits(system.with_cores(32))
+    bits_128 = mesi.overhead_bits(system.with_cores(128))
     # Sharing vector dominates: 4x the cores -> >4x the bits (more lines AND
     # wider vectors).
     assert bits_128 > 8 * bits_32
@@ -111,8 +107,9 @@ def test_mesi_overhead_scales_linearly_with_cores():
 
 def test_tsocc_overhead_scales_much_slower():
     system = SystemConfig()
-    tsocc_32 = tsocc_overhead_bits(system.with_cores(32), TSO_CC_4_12_3)
-    tsocc_128 = tsocc_overhead_bits(system.with_cores(128), TSO_CC_4_12_3)
+    tsocc = get_protocol(TSO_CC_4_12_3)
+    tsocc_32 = tsocc.overhead_bits(system.with_cores(32))
+    tsocc_128 = tsocc.overhead_bits(system.with_cores(128))
     # Per-line cost is constant-ish (log factor); growth is dominated by the
     # 4x increase in the number of lines.
     assert tsocc_128 < 6 * tsocc_32

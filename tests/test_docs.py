@@ -3,11 +3,15 @@
 Docstrings and documents in this repository cite each other by file name
 (``see DESIGN.md``, ``see EXPERIMENTS.md`` ...).  PR 3 found two of those
 citations dangling (DESIGN.md did not exist); this test makes dangling doc
-references a CI failure instead of a reader surprise.
+references a CI failure instead of a reader surprise.  The documents also
+name CLI commands, which must exist too.
 """
 
+import argparse
 import re
 from pathlib import Path
+
+import repro.cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,6 +45,44 @@ def _referenced_docs():
             yield path, match.group(1)
 
 
+#: Documents whose command lines must parse (plus the ``repro.cli`` module
+#: docstring).
+_CLI_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+
+#: ``python -m repro <command> [<sub-command>]`` or a backticked
+#: ``repro <command> [<sub-command>]`` (a reflowed span may break a line).
+_CLI_USE = re.compile(r"(?:python -m repro|`repro)\s+([^\s`]+)(?:\s+([^\s`]+))?")
+
+#: A sub-command word, or several joined by ``/`` (``cache stats/ls/gc``);
+#: anything else after the command (``...``, ``--help``) is not one.
+_SUBCOMMAND = re.compile(r"[a-z][a-z0-9-]*(?:/[a-z][a-z0-9-]*)*")
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Sub-command name -> sub-parser of ``parser`` (empty if it has none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _invalid_cli_uses(text: str, commands: dict):
+    """Yield each command line in ``text`` naming a command or sub-command
+    that ``commands`` (the parser's top level) does not accept."""
+    for match in _CLI_USE.finditer(text):
+        command, sub = match.groups()
+        if command.startswith("-"):     # python -m repro --help
+            continue
+        use = " ".join(match.group(0).split())
+        if command not in commands:
+            yield use
+            continue
+        choices = _subcommands(commands[command])
+        if choices and sub and _SUBCOMMAND.fullmatch(sub):
+            if any(part not in choices for part in sub.split("/")):
+                yield use
+
+
 def test_required_documents_exist():
     missing = [name for name in REQUIRED_DOCS
                if not (REPO_ROOT / name).is_file()]
@@ -54,6 +96,23 @@ def test_no_dangling_doc_cross_references():
         if not (REPO_ROOT / name).is_file()
     })
     assert not dangling, "\n".join(dangling)
+
+
+def test_docs_name_only_existing_cli_commands():
+    """A command or sub-command removed from the CLI must not live on in
+    the documents or the CLI's own usage examples."""
+    commands = _subcommands(repro.cli.build_parser())
+    assert list(_invalid_cli_uses("`repro bogus --check`", commands))
+    assert list(_invalid_cli_uses("python -m repro fuzz bogus", commands))
+    sources = {name: (REPO_ROOT / name).read_text(encoding="utf-8")
+               for name in _CLI_DOCS}
+    sources["repro.cli docstring"] = repro.cli.__doc__
+    invalid = []
+    for name, text in sources.items():
+        assert _CLI_USE.search(text), f"{name} names no CLI command"
+        invalid += [f"{name}: {use!r}"
+                    for use in _invalid_cli_uses(text, commands)]
+    assert not invalid, "\n".join(invalid)
 
 
 def test_design_md_covers_its_citations():

@@ -2,8 +2,8 @@
 
 The engine promises: events run in time order, and events for the *same*
 cycle run in the order they were scheduled (FIFO) — regardless of which
-scheduling entry point was used (``schedule`` / ``schedule_call`` /
-``schedule_at``), of how many times the bucket ring has wrapped, and of
+scheduling entry point was used (``schedule`` / ``schedule_call``), of how
+many times the bucket ring has wrapped, and of
 whether an event took the spill-heap detour before migrating into its
 bucket.  Golden stats pin ``events_executed``, so these tests also pin that
 every scheduling call is exactly one executed event.
@@ -17,13 +17,13 @@ from repro.sim.simulator import Simulator, suggest_ring_size
 # ------------------------------------------------------------- same-cycle FIFO
 
 def test_same_cycle_fifo_across_entry_points():
-    """schedule / schedule_call / schedule_at interleaved at one cycle run
-    strictly in scheduling order."""
+    """schedule / schedule_call interleaved at one cycle run strictly in
+    scheduling order."""
     sim = Simulator()
     order = []
     sim.schedule(7, lambda: order.append("a"))
     sim.schedule_call(7, order.append, "b")
-    sim.schedule_at(7, lambda: order.append("c"))
+    sim.schedule(7, lambda: order.append("c"))
     sim.schedule_call(7, order.append, "d")
     sim.schedule(7, lambda: order.append("e"))
     sim.run()
@@ -157,29 +157,28 @@ def test_max_cycles_applies_to_spilled_events():
     assert sim.events_executed == 0
 
 
-def test_max_events_counts_across_wraparound():
-    sim = Simulator(ring_size=8)
-
-    def tick():
-        sim.schedule(3, tick)
-
-    sim.schedule(0, tick)
-    with pytest.raises(RuntimeError, match="max_events"):
-        sim.run(max_events=50)
-    assert sim.events_executed == 50
-
-
 def test_until_predicate_with_small_ring():
+    """An early stop while the only pending event sits in the spill heap
+    leaves it queued, and a resumed run picks it up."""
     sim = Simulator(ring_size=8)
     counter = {"n": 0}
 
     def tick():
         counter["n"] += 1
-        sim.schedule(13, tick)  # always spills
+        if counter["n"] == 4:
+            sim.request_stop()
+        if counter["n"] < 5:
+            sim.schedule(13, tick)  # always spills
 
     sim.schedule(0, tick)
-    sim.run(until=lambda: counter["n"] >= 4)
+    sim.run()
     assert counter["n"] == 4
+    assert sim.now == 39
+    assert sim.pending_events == 1  # the spilled fifth tick
+    sim.stop_requested = False
+    sim.run()
+    assert counter["n"] == 5
+    assert sim.now == 52
 
 
 # ------------------------------------------------------------------ ring sizing
