@@ -155,7 +155,6 @@ class CoreModel:
         self.on_finish = on_finish
 
         self._generator = program(context)
-        self._started = False
         self._program_done = False
         self.finished = False
 
@@ -166,6 +165,7 @@ class CoreModel:
         # completion callbacks can skip the observe step (and its closure
         # allocations) entirely; the litmus runner takes the slow path.
         self._observe = context.observe if context.observer is not None else None
+        self._buffered = write_buffer.entries
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -178,6 +178,13 @@ class CoreModel:
         """``True`` once the program finished and all stores drained."""
         return self.finished
 
+    def describe_stall(self) -> str:
+        """What this unfinished core is waiting for (for deadlock reports):
+        its L1's outstanding transactions and its write-buffer state."""
+        flight = "a store in flight" if self._store_in_flight else "no store in flight"
+        return (f"core {self.core_id}: {self.l1.describe_pending()}; "
+                f"write buffer depth {len(self.write_buffer)}, {flight}")
+
     # -- program driving ------------------------------------------------------
 
     def _advance(self, send_value: Optional[int]) -> None:
@@ -185,28 +192,31 @@ class CoreModel:
 
         Dispatch is inlined here (rather than a separate ``_execute``
         method) because this resume-dispatch pair runs once per program
-        operation; types are checked most-frequent first (loads dominate
-        every workload).
+        operation; types are checked most-frequent first (loads, then
+        ``Work``, dominate every workload).  The first call (from :meth:`start`) sends
+        ``None``, which starts the generator.
         """
-        if self._program_done:
-            return
         try:
-            if not self._started:
-                self._started = True
-                op = next(self._generator)
-            else:
-                op = self._generator.send(send_value)
+            op = self._generator.send(send_value)
         except StopIteration:
             self._program_done = True
             self._try_finish()
             return
         if isinstance(op, Load):
-            self._execute_load(op)
-        elif isinstance(op, Store):
-            self._execute_store(op)
+            stats = self.stats
+            stats.loads += 1
+            stats.memory_ops += 1
+            if self._observe is None and not self._buffered:
+                # No buffered store to forward from and nothing to observe:
+                # the L1 resumes the program directly.
+                self.l1.issue_load(op.address, self._advance)
+            else:
+                self._execute_load(op)
         elif isinstance(op, Work):
             self.stats.work_cycles += op.cycles
             self.sim.schedule_call(max(1, op.cycles), self._advance, None)
+        elif isinstance(op, Store):
+            self._execute_store(op)
         elif isinstance(op, RMW):
             self._execute_sync(op)
         elif isinstance(op, Fence):
@@ -217,8 +227,8 @@ class CoreModel:
     # -- loads ----------------------------------------------------------------
 
     def _execute_load(self, op: Load) -> None:
-        self.stats.loads += 1
-        self.stats.memory_ops += 1
+        """A load that may forward from the write buffer or that the
+        observer sees (``_advance`` issues the rest straight to the L1)."""
         forwarded = self.write_buffer.forward(op.address)
         if self._observe is None:
             # No observer: the completion step is just resuming the program,

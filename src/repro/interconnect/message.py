@@ -20,7 +20,6 @@ message ``ceil((8 + 64) / 16) = 5`` flits with the default 64-byte lines.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -102,15 +101,15 @@ for _index, _member in enumerate(MessageType):
 NUM_MESSAGE_TYPES = len(MessageType)
 
 
-_MESSAGE_SEQ = itertools.count()
-
-
 @dataclass(slots=True)
 class Message:
     """A single coherence message in flight.
 
     Slotted: messages are the hot allocation path of multi-million-event
-    runs (one object per hop, several per miss).
+    runs (one object per hop, several per miss).  Messages that travel are
+    allocated by :meth:`repro.interconnect.network.Network.send`, which
+    recycles each one after delivery unless its receiver kept it
+    (:meth:`retain`); a message built directly is never recycled.
 
     Attributes:
         mtype: the :class:`MessageType`.
@@ -119,8 +118,6 @@ class Message:
         address: line address the message concerns (``None`` for broadcasts).
         data: optional full-line data payload (offset -> value).
         info: protocol-specific fields (timestamps, epochs, ack counts ...).
-        send_time: simulation time the message entered the network.
-        uid: unique id, useful for debugging and deterministic tie-breaking.
     """
 
     mtype: MessageType
@@ -129,18 +126,13 @@ class Message:
     address: Optional[int] = None
     data: Optional[Dict[int, int]] = None
     info: Dict[str, Any] = field(default_factory=dict)
-    send_time: int = 0
-    uid: int = field(default_factory=lambda: next(_MESSAGE_SEQ))
-    #: ``True`` for messages acquired from a :class:`MessagePool`; only those
-    #: are recycled after delivery.
-    pooled: bool = False
     #: Set via :meth:`retain` by a receiver that keeps the message alive past
     #: its delivery callback (deferred replay, blocked queues, fetch
     #: continuations); a retained message is never recycled.
     retained: bool = False
 
     def retain(self) -> "Message":
-        """Opt this message out of pool recycling.
+        """Opt this message out of recycling.
 
         Handlers **must** call this before storing a delivered message (or a
         closure capturing it) for later replay — otherwise the network will
@@ -165,59 +157,3 @@ class Message:
             f"<Msg {self.mtype.label} {self.src}->{self.dst} addr={addr} "
             f"info={self.info}>"
         )
-
-
-class MessagePool:
-    """Free-list recycler for :class:`Message` objects.
-
-    Messages are the dominant allocation of a coherence simulation (one per
-    hop, several per miss) but almost all of them are dead the moment their
-    delivery callback returns.  The network therefore acquires messages from
-    this pool on ``send`` and releases them after delivery, turning the
-    steady-state messaging cost into field assignments on a recycled object
-    instead of allocator + GC traffic.
-
-    The exceptions are messages a handler keeps alive past its callback —
-    deferred replays, blocked-queue entries, fetch continuations.  Those
-    call :meth:`Message.retain` and are simply never recycled (they fall
-    back to ordinary garbage collection), so correctness never depends on
-    finding every escape: a missed *release* is a leak-free slow path,
-    while every *retain* site is explicit and grep-able.
-    """
-
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: list = []
-
-    def acquire(
-        self,
-        mtype: MessageType,
-        src: int,
-        dst: int,
-        address: Optional[int] = None,
-        data: Optional[Dict[int, int]] = None,
-        info: Optional[Dict[str, Any]] = None,
-    ) -> Message:
-        """Return a ready-to-send message, recycled when possible."""
-        free = self._free
-        if free:
-            msg = free.pop()
-            msg.mtype = mtype
-            msg.src = src
-            msg.dst = dst
-            msg.address = address
-            msg.data = data
-            msg.info = info if info is not None else {}
-            msg.send_time = 0
-            msg.uid = next(_MESSAGE_SEQ)
-            return msg
-        return Message(mtype=mtype, src=src, dst=dst, address=address,
-                       data=data, info=info if info is not None else {},
-                       pooled=True)
-
-    def release(self, msg: Message) -> None:
-        """Recycle ``msg``.  Only the network's delivery path may call this,
-        and only for ``pooled and not retained`` messages."""
-        msg.data = None
-        self._free.append(msg)

@@ -26,10 +26,10 @@ mesh without hardware multicast would carry them.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, Optional, Protocol
+from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol
 
 from repro.interconnect.message import (NUM_MESSAGE_TYPES, Message,
-                                        MessageClass, MessagePool, MessageType)
+                                        MessageClass, MessageType)
 from repro.interconnect.topology import MeshTopology
 
 
@@ -64,10 +64,11 @@ class NetworkStats:
 
     The per-type and per-class breakdowns are kept as flat lists indexed by
     ``MessageType.index`` on the hot path (two list increments per message in
-    :meth:`Network.send`) and folded into the public enum-keyed dictionaries
-    lazily, the first time :attr:`by_type` / :attr:`by_class` /
-    :attr:`flits_by_class` is read.  Readers and writers of those
-    dictionaries (tests, :meth:`from_dict`) see exactly the old interface.
+    :meth:`Network.send`, which does all of the accounting) and folded into
+    the public enum-keyed dictionaries lazily, the first time
+    :attr:`by_type` / :attr:`by_class` / :attr:`flits_by_class` is read.
+    Readers and writers of those dictionaries (tests, :meth:`from_dict`)
+    see exactly the old interface.
 
     Attributes:
         messages: total messages delivered.
@@ -154,18 +155,6 @@ class NetworkStats:
         return (f"NetworkStats(messages={self.messages}, flits={self.flits}, "
                 f"hops_weighted_flits={self.hops_weighted_flits})")
 
-    def record(self, msg: Message, flits: int, hops: int) -> None:
-        """Account one delivered message (``flits * max(1, hops)`` link
-        traversals — zero-hop messages are floored to one, see the class
-        docstring)."""
-        self.messages += 1
-        self.flits += flits
-        self.hops_weighted_flits += flits * (hops if hops > 1 else 1)
-        index = msg.mtype.index
-        self._type_counts[index] += 1
-        self._type_flits[index] += flits
-        self._dirty = True
-
     def as_dict(self) -> Dict[str, float]:
         """Return a flat summary dictionary for reporting."""
         summary: Dict[str, float] = {
@@ -246,10 +235,12 @@ class Network:
         self.stats = NetworkStats()
         self._handlers: Dict[int, MessageHandler] = {}
         self._in_flight = 0
-        # Message free-list shared by every controller on this network;
-        # `_deliver` recycles each pooled message once its handler returns
-        # (unless the handler retained it — see MessagePool).
-        self.pool = MessagePool()
+        # Message free list.  Messages are the dominant allocation of a
+        # coherence simulation, but almost all are dead once their handler
+        # returns, so `_deliver` recycles each one (unless the handler
+        # retained it) and `send` refills it field by field.  A missed
+        # recycle is only a slow path; every retain site is explicit.
+        self._free: List[Message] = []
         # Hot-path precomputation: hop counts are a frozen property of the
         # topology, and flit counts take only two values (control vs. full
         # line), so `send` reduces to table lookups + one heap push.
@@ -284,22 +275,46 @@ class Network:
         raw = self.router_latency * (hops + 1) + self.link_latency * hops + (flits - 1)
         return max(self.min_latency, raw)
 
-    def send(self, msg: Message, extra_delay: int = 0) -> int:
-        """Inject ``msg`` into the network; returns the delivery latency.
+    def send(
+        self,
+        mtype: MessageType,
+        src: int,
+        dst: int,
+        address: Optional[int] = None,
+        data: Optional[Dict[int, int]] = None,
+        info: Optional[Dict[str, Any]] = None,
+        delay: int = 0,
+    ) -> Message:
+        """Send a message from ``src`` to ``dst`` and return it.
 
-        The destination handler's ``handle_message`` runs after the computed
-        latency plus ``extra_delay`` (used by controllers to model their own
-        occupancy / access latencies without scheduling separate events).
+        The message comes from the free list, is accounted in :attr:`stats`
+        and is delivered to the destination handler's ``handle_message``
+        after its latency plus ``delay`` (controllers use it to model their
+        own occupancy / access latencies without scheduling separate
+        events).  It is recycled after delivery; receivers that keep it
+        must call :meth:`Message.retain`.
         """
-        handler = self._handlers.get(msg.dst)
+        handler = self._handlers.get(dst)
         if handler is None:
-            raise ValueError(f"no handler registered for destination node {msg.dst}")
-        mtype = msg.mtype
-        if mtype.carries_data and msg.data is not None:
+            raise ValueError(f"no handler registered for destination node {dst}")
+        if info is None:
+            info = {}
+        free = self._free
+        if free:
+            msg = free.pop()
+            msg.mtype = mtype
+            msg.src = src
+            msg.dst = dst
+            msg.address = address
+            msg.data = data
+            msg.info = info
+        else:
+            msg = Message(mtype, src, dst, address, data, info)
+        if mtype.carries_data and data is not None:
             flits = self._data_flits
         else:
             flits = self._ctrl_flits
-        hops = self._hops[msg.src][msg.dst]
+        hops = self._hops[src][dst]
         stats = self.stats
         stats.messages += 1
         stats.flits += flits
@@ -308,24 +323,22 @@ class Network:
         stats._type_counts[index] += 1
         stats._type_flits[index] += flits
         stats._dirty = True
-        scheduler = self.scheduler
-        msg.send_time = scheduler.now
         raw = self._base_latency[hops] + (flits - 1)
-        delay = raw if raw > self.min_latency else self.min_latency
-        if extra_delay > 0:
-            delay += extra_delay
+        latency = raw if raw > self.min_latency else self.min_latency
+        if delay > 0:
+            latency += delay
         self._in_flight += 1
-        scheduler.schedule_call(delay, self._deliver, handler, msg)
-        return delay
+        self.scheduler.schedule_call(latency, self._deliver, handler, msg)
+        return msg
 
     def _deliver(self, handler: MessageHandler, msg: Message) -> None:
         self._in_flight -= 1
         handler.handle_message(msg)
         # Recycle the message unless the handler kept a reference
-        # (Message.retain) or it was hand-constructed outside the pool.
-        if msg.pooled and not msg.retained:
+        # (Message.retain).
+        if not msg.retained:
             msg.data = None
-            self.pool._free.append(msg)
+            self._free.append(msg)
 
     def broadcast(
         self,
@@ -337,7 +350,8 @@ class Network:
         """Send a copy of ``template`` to every node in ``destinations``.
 
         Args:
-            template: message to replicate (``dst`` is overwritten per copy).
+            template: message to replicate (each copy is sent to one
+                destination; the template itself is never sent).
             destinations: target node ids.
             exclude: optional node id to skip (typically the sender).
             extra_delay: forwarded to :meth:`send` for each copy.
@@ -346,18 +360,11 @@ class Network:
             The number of copies sent.
         """
         count = 0
-        acquire = self.pool.acquire
         for dst in destinations:
             if exclude is not None and dst == exclude:
                 continue
-            copy = acquire(
-                template.mtype,
-                template.src,
-                dst,
-                template.address,
-                dict(template.data) if template.data is not None else None,
-                dict(template.info),
-            )
-            self.send(copy, extra_delay=extra_delay)
+            self.send(template.mtype, template.src, dst, template.address,
+                      dict(template.data) if template.data is not None else None,
+                      dict(template.info), extra_delay)
             count += 1
         return count

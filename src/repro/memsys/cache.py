@@ -12,7 +12,7 @@ states and decide what to do with victims returned by :meth:`CacheArray.insert`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.memsys.address import AddressMap, is_power_of_two
 from repro.memsys.cacheline import CacheLine
@@ -71,9 +71,15 @@ class CacheArray:
         self._sets: List[List[Optional[CacheLine]]] = [
             [None] * assoc for _ in range(num_sets)
         ]
-        # line_address -> (set_index, way) for O(1) lookup
+        # line_address -> (set_index, way), and line_address -> the line
+        # itself for the lookups (same keys, same order: fill order).
         self._index: Dict[int, tuple] = {}
+        self._lines: Dict[int, CacheLine] = {}
         self._line_mask = address_map.line_mask
+        # Set index of an address: its line number masked to num_sets (a
+        # power of two, checked above), as AddressMap.set_index computes.
+        self._set_shift = address_map.offset_bits
+        self._set_mask = num_sets - 1
 
     # -- basic queries ----------------------------------------------------
 
@@ -106,27 +112,17 @@ class CacheArray:
         Equivalent to ``lookup(address, touch=False).line`` without the
         per-call result object — this is the controllers' hottest query.
         """
-        loc = self._index.get(address & self._line_mask)
-        if loc is None:
-            return None
-        return self._sets[loc[0]][loc[1]]
+        return self._lines.get(address & self._line_mask)
 
-    def lines(self) -> Iterator[CacheLine]:
-        """Iterate over all resident lines (no particular order)."""
-        for line_addr in list(self._index):
-            loc = self._index.get(line_addr)
-            if loc is None:
-                continue
-            set_index, way = loc
-            line = self._sets[set_index][way]
-            if line is not None:
-                yield line
+    def lines(self) -> List[CacheLine]:
+        """Return every resident line (a new list, in fill order)."""
+        return list(self._lines.values())
 
     def set_occupancy(self, address: int) -> int:
         """Return the number of valid lines in the set that ``address`` maps
         to (useful in tests and for conflict statistics)."""
-        set_index = self.address_map.set_index(address, self.num_sets)
-        return sum(1 for line in self._sets[set_index] if line is not None)
+        ways = self._sets[(address >> self._set_shift) & self._set_mask]
+        return sum(1 for line in ways if line is not None)
 
     # -- mutation ---------------------------------------------------------
 
@@ -147,8 +143,8 @@ class CacheArray:
                 evicting lines in transient states).  If no candidate
                 satisfies the filter, a :class:`RuntimeError` is raised.
         """
-        line_addr = self.address_map.line_address(line.address)
-        if line_addr != line.address:
+        line_addr = line.address
+        if line_addr & self._line_mask != line_addr:
             raise ValueError(
                 f"{self.name}: inserted line address {line.address:#x} is not "
                 f"aligned to {self.address_map.line_size} bytes"
@@ -157,35 +153,33 @@ class CacheArray:
         if existing is not None:
             set_index, way = existing
             self._sets[set_index][way] = line
+            self._lines[line_addr] = line
             self.replacement.touch(set_index, way)
             return None
 
-        set_index = self.address_map.set_index(line_addr, self.num_sets)
+        set_index = (line_addr >> self._set_shift) & self._set_mask
         ways = self._sets[set_index]
         for way, resident in enumerate(ways):
             if resident is None:
                 ways[way] = line
                 self._index[line_addr] = (set_index, way)
+                self._lines[line_addr] = line
                 self.replacement.fill(set_index, way)
                 return None
 
-        candidates = list(range(self.assoc))
-        if victim_filter is not None:
-            candidates = [
-                way for way in candidates if victim_filter(ways[way])  # type: ignore[arg-type]
-            ]
-            if not candidates:
-                raise RuntimeError(
-                    f"{self.name}: no evictable victim in set {set_index} "
-                    f"for line {line_addr:#x}"
-                )
-        victim_way = self.replacement.victim(set_index, candidates)
+        victim_way = self._victim_way(set_index, ways, victim_filter)
+        if victim_way is None:
+            raise RuntimeError(
+                f"{self.name}: no evictable victim in set {set_index} "
+                f"for line {line_addr:#x}"
+            )
         victim = ways[victim_way]
-        assert victim is not None
         del self._index[victim.address]
+        del self._lines[victim.address]
         self.replacement.invalidate(set_index, victim_way)
         ways[victim_way] = line
         self._index[line_addr] = (set_index, victim_way)
+        self._lines[line_addr] = line
         self.replacement.fill(set_index, victim_way)
         return victim
 
@@ -193,11 +187,12 @@ class CacheArray:
         """Return ``True`` if inserting a line for ``address`` would require
         evicting a resident line (i.e. the target set is full and the address
         is not already resident)."""
-        line_addr = self.address_map.line_address(address)
-        if line_addr in self._index:
+        if address & self._line_mask in self._index:
             return False
-        set_index = self.address_map.set_index(line_addr, self.num_sets)
-        return all(entry is not None for entry in self._sets[set_index])
+        for entry in self._sets[(address >> self._set_shift) & self._set_mask]:
+            if entry is None:
+                return False
+        return True
 
     def pick_victim(
         self,
@@ -209,17 +204,28 @@ class CacheArray:
         needed."""
         if not self.needs_eviction(address):
             return None
-        set_index = self.address_map.set_index(address, self.num_sets)
+        set_index = (address >> self._set_shift) & self._set_mask
         ways = self._sets[set_index]
-        candidates = list(range(self.assoc))
-        if victim_filter is not None:
-            candidates = [
-                way for way in candidates if victim_filter(ways[way])  # type: ignore[arg-type]
-            ]
+        victim_way = self._victim_way(set_index, ways, victim_filter)
+        return None if victim_way is None else ways[victim_way]
+
+    def _victim_way(
+        self,
+        set_index: int,
+        ways: List[Optional[CacheLine]],
+        victim_filter: Optional[Callable[[CacheLine], bool]],
+    ) -> Optional[int]:
+        """Ask the replacement policy for a victim among the ways of a full
+        set that pass ``victim_filter``; ``None`` if no way passes (the
+        policy is then not asked)."""
+        if victim_filter is None:
+            candidates = list(range(self.assoc))
+        else:
+            candidates = [way for way, resident in enumerate(ways)
+                          if victim_filter(resident)]  # type: ignore[arg-type]
             if not candidates:
                 return None
-        victim_way = self.replacement.victim(set_index, candidates)
-        return ways[victim_way]
+        return self.replacement.victim(set_index, candidates)
 
     def allocate(self, address: int) -> CacheLine:
         """Convenience helper: create an empty line for ``address`` and
@@ -239,17 +245,17 @@ class CacheArray:
 
     def remove(self, address: int) -> Optional[CacheLine]:
         """Remove and return the line containing ``address`` (or ``None``)."""
-        line_addr = self.address_map.line_address(address)
+        line_addr = address & self._line_mask
         loc = self._index.pop(line_addr, None)
         if loc is None:
             return None
+        line = self._lines.pop(line_addr)
         set_index, way = loc
-        line = self._sets[set_index][way]
         self._sets[set_index][way] = None
         self.replacement.invalidate(set_index, way)
         return line
 
     def clear(self) -> None:
         """Remove every resident line."""
-        for line in list(self.lines()):
+        for line in self.lines():
             self.remove(line.address)

@@ -6,13 +6,14 @@ forces invalidations, and in TSO-CC evicted timestamps cause mandatory
 self-invalidations on re-fetch), so the policies are implemented precisely
 and are unit / property tested.
 
-Every policy tracks usage per cache set, keyed by ``(set_index, way)``.
+Every policy tracks usage per cache set and way.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from typing import Dict, List, Optional
 
 
@@ -41,63 +42,49 @@ class ReplacementPolicy(ABC):
         """Choose a victim way among ``candidate_ways`` in ``set_index``."""
 
 
-class LRUReplacement(ReplacementPolicy):
-    """Least-recently-used replacement (default for both L1 and L2)."""
+class _StampReplacement(ReplacementPolicy):
+    """Shared core of LRU and FIFO: evict the way with the oldest stamp.
+
+    Every fill (and, for LRU, every touch) stamps its way with a rising
+    clock.  Stamps live in one ``way -> stamp`` dict per set, so recording
+    one builds no ``(set, way)`` key, and the victim is a builtin ``min``
+    keyed on that dict.  A way without a stamp (never filled, or
+    invalidated) counts as oldest; among several, the first candidate wins.
+    """
 
     def __init__(self) -> None:
         self._clock = 0
-        self._last_use: Dict[tuple, int] = {}
-
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
+        self._stamps: Dict[int, Dict[int, int]] = defaultdict(dict)
 
     def touch(self, set_index: int, way: int) -> None:
-        self._last_use[(set_index, way)] = self._tick()
-
-    def fill(self, set_index: int, way: int) -> None:
-        self._last_use[(set_index, way)] = self._tick()
-
-    def invalidate(self, set_index: int, way: int) -> None:
-        self._last_use.pop((set_index, way), None)
-
-    def victim(self, set_index: int, candidate_ways: List[int]) -> int:
-        if not candidate_ways:
-            raise ValueError("victim() called with no candidate ways")
-        return min(
-            candidate_ways,
-            key=lambda way: self._last_use.get((set_index, way), -1),
-        )
-
-
-class FIFOReplacement(ReplacementPolicy):
-    """First-in first-out replacement (fill order, ignores hits)."""
-
-    def __init__(self) -> None:
-        self._clock = 0
-        self._fill_time: Dict[tuple, int] = {}
-
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
-    def touch(self, set_index: int, way: int) -> None:
-        # FIFO ignores accesses.
         return None
 
     def fill(self, set_index: int, way: int) -> None:
-        self._fill_time[(set_index, way)] = self._tick()
+        self._clock += 1
+        self._stamps[set_index][way] = self._clock
 
     def invalidate(self, set_index: int, way: int) -> None:
-        self._fill_time.pop((set_index, way), None)
+        self._stamps[set_index].pop(way, None)
 
     def victim(self, set_index: int, candidate_ways: List[int]) -> int:
         if not candidate_ways:
             raise ValueError("victim() called with no candidate ways")
-        return min(
-            candidate_ways,
-            key=lambda way: self._fill_time.get((set_index, way), -1),
-        )
+        stamps = self._stamps[set_index]
+        for way in candidate_ways:
+            if way not in stamps:
+                return way
+        return min(candidate_ways, key=stamps.__getitem__)
+
+
+class LRUReplacement(_StampReplacement):
+    """Least-recently-used replacement (default for both L1 and L2)."""
+
+    #: A use restamps the way exactly as a fill does.
+    touch = _StampReplacement.fill
+
+
+class FIFOReplacement(_StampReplacement):
+    """First-in first-out replacement (fill order, ignores hits)."""
 
 
 class RandomReplacement(ReplacementPolicy):

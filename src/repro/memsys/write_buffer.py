@@ -41,31 +41,35 @@ class WriteBuffer:
 
     Args:
         capacity: maximum number of pending stores (Table 2 uses 32).
+
+    Attributes:
+        entries: the pending stores, oldest first.  Read-only for callers;
+            the core model tests it for emptiness on every load.
     """
 
     def __init__(self, capacity: int = 32) -> None:
         if capacity <= 0:
             raise ValueError("write buffer capacity must be positive")
         self.capacity = capacity
-        self._entries: Deque[StoreBufferEntry] = deque()
+        self.entries: Deque[StoreBufferEntry] = deque()
         self.total_enqueued = 0
         self.max_occupancy_seen = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[StoreBufferEntry]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     @property
     def is_empty(self) -> bool:
         """``True`` when no stores are pending."""
-        return not self._entries
+        return not self.entries
 
     @property
     def is_full(self) -> bool:
         """``True`` when the buffer cannot accept another store."""
-        return len(self._entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     def enqueue(self, entry: StoreBufferEntry) -> None:
         """Append a committed store at the tail of the buffer.
@@ -76,13 +80,13 @@ class WriteBuffer:
         """
         if self.is_full:
             raise RuntimeError("write buffer overflow: enqueue on a full buffer")
-        self._entries.append(entry)
+        self.entries.append(entry)
         self.total_enqueued += 1
-        self.max_occupancy_seen = max(self.max_occupancy_seen, len(self._entries))
+        self.max_occupancy_seen = max(self.max_occupancy_seen, len(self.entries))
 
     def head(self) -> Optional[StoreBufferEntry]:
         """Return (without removing) the oldest pending store, or ``None``."""
-        return self._entries[0] if self._entries else None
+        return self.entries[0] if self.entries else None
 
     def dequeue(self) -> StoreBufferEntry:
         """Remove and return the oldest pending store.
@@ -90,9 +94,9 @@ class WriteBuffer:
         Raises:
             RuntimeError: if the buffer is empty.
         """
-        if not self._entries:
+        if not self.entries:
             raise RuntimeError("write buffer underflow: dequeue on an empty buffer")
-        return self._entries.popleft()
+        return self.entries.popleft()
 
     def forward(self, address: int) -> Optional[int]:
         """Return the value of the *youngest* pending store to ``address``,
@@ -101,15 +105,15 @@ class WriteBuffer:
         This models TSO's requirement that a core's own loads see its own
         stores even while those stores are still buffered.
         """
-        for entry in reversed(self._entries):
+        for entry in reversed(self.entries):
             if entry.address == address:
                 return entry.value
         return None
 
     def pending_addresses(self) -> list[int]:
         """Return the addresses of all pending stores, oldest first."""
-        return [entry.address for entry in self._entries]
+        return [entry.address for entry in self.entries]
 
     def clear(self) -> None:
         """Drop all pending stores (used only by tests)."""
-        self._entries.clear()
+        self.entries.clear()

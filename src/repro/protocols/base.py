@@ -76,6 +76,9 @@ class L1ControllerInterface(Protocol):
     def handle_message(self, msg: Message) -> None:
         """Process a network message addressed to this controller."""
 
+    def describe_pending(self) -> str:
+        """The outstanding transactions, for deadlock reports."""
+
 
 class L2ControllerInterface(Protocol):
     """Network-facing interface of an L2 tile controller."""
@@ -190,14 +193,28 @@ class BaseL1Controller:
         self.node_id = topology.l1_node(core_id)
         self._pending: Dict[int, PendingTransaction] = {}
         self._evicting: Dict[int, CacheLine] = {}
-        self._evict_waiters: Dict[int, List[Callable[[], None]]] = {}
+        # line address -> operations waiting for the line: the ``deferred``
+        # list of its pending transaction, or the waiters of its in-flight
+        # writeback (re-requesting the line before the writeback is
+        # acknowledged could let the L2 answer with stale data).  A line
+        # never has both: install never evicts a line with a pending
+        # transaction, and operations on an evicting line wait.  So an
+        # issue path decides "wait or go" with one lookup here, and
+        # allocates its retry closure only when it waits.
+        self._waiting: Dict[int, List[Callable[[], None]]] = {}
         self._line_mask = address_map.line_mask
-        self._pool = network.pool
+        self._offset_mask = address_map.offset_mask
+        self._offset_bits = address_map.offset_bits
+        #: Node id of every core's L1, indexed by core id.
+        self.l1_nodes = tuple(topology.all_l1_nodes())
+        # Node id of every home tile, indexed by tile id (see home_node).
+        self._home_nodes = tuple(topology.l2_node(tile)
+                                 for tile in range(address_map.num_l2_tiles))
         self._dispatch = compile_dispatch(self, self.message_handlers)
         # Prebound victim filter for install_line (one closure per controller
         # instead of one per install).
-        self._install_victim_filter = (
-            lambda cand: cand.address not in self._pending)
+        pending = self._pending
+        self._install_victim_filter = lambda cand: cand.address not in pending
         self._build_tables()
         network.register(self.node_id, self)
 
@@ -216,8 +233,10 @@ class BaseL1Controller:
         handler(msg)
 
     def home_node(self, address: int) -> int:
-        """Network node id of the home L2 tile for ``address``."""
-        return self.topology.l2_node(self.address_map.home_tile(address))
+        """Network node id of the home L2 tile for ``address`` (lines are
+        interleaved across tiles, as :meth:`AddressMap.home_tile`)."""
+        home_nodes = self._home_nodes
+        return home_nodes[(address >> self._offset_bits) % len(home_nodes)]
 
     def send(
         self,
@@ -233,22 +252,13 @@ class BaseL1Controller:
         ``delay`` adds controller occupancy (e.g. tag access latency) on top
         of the network latency before the message is delivered.
 
-        The message comes from the network's free-list and is recycled after
+        The message comes from the network's free list and is recycled after
         delivery; receivers that keep it must call :meth:`Message.retain`.
         """
-        msg = self._pool.acquire(mtype, self.node_id, dst, address, data, info)
-        self.network.send(msg, extra_delay=delay)
-        return msg
+        return self.network.send(mtype, self.node_id, dst, address, data,
+                                 info, delay)
 
     # -- pending transaction management ----------------------------------------
-
-    def pending_for(self, address: int) -> Optional[PendingTransaction]:
-        """Return the outstanding transaction for the line of ``address``."""
-        return self._pending.get(self.address_map.line_address(address))
-
-    def has_pending(self, address: int) -> bool:
-        """``True`` if the line of ``address`` has an outstanding transaction."""
-        return self.address_map.line_address(address) in self._pending
 
     def start_transaction(self, txn: PendingTransaction) -> None:
         """Register ``txn`` as the outstanding transaction for its line."""
@@ -258,46 +268,7 @@ class BaseL1Controller:
                 f"pending transaction"
             )
         self._pending[txn.line_address] = txn
-
-    def defer(self, address: int, retry: Callable[[], None]) -> bool:
-        """If the line of ``address`` has an outstanding transaction, defer
-        ``retry`` until it completes and return ``True``."""
-        line_addr = self.address_map.line_address(address)
-        txn = self._pending.get(line_addr)
-        if txn is None:
-            return False
-        txn.deferred.append(retry)
-        return True
-
-    def deferred_or_waiting(self, address: int, retry: Callable[[], None]) -> bool:
-        """Common core-operation prologue: defer ``retry`` behind an
-        outstanding transaction or an in-flight writeback of its line.
-
-        Fuses :meth:`defer` and :meth:`wait_for_writeback` into one line
-        lookup — this prologue runs once per core memory operation.
-        """
-        queue = self._defer_queue(address)
-        if queue is None:
-            return False
-        queue.append(retry)
-        return True
-
-    def _defer_queue(self, address: int) -> Optional[List[Callable[[], None]]]:
-        """Return the replay queue a core operation on ``address`` must join
-        (outstanding transaction or in-flight writeback), or ``None`` if the
-        line is free.
-
-        Issue paths use this directly so the retry closure is only allocated
-        when the operation actually defers — the common case (line free)
-        costs one dict lookup and no allocation.
-        """
-        line_addr = address & self._line_mask
-        txn = self._pending.get(line_addr)
-        if txn is not None:
-            return txn.deferred
-        if line_addr in self._evicting:
-            return self._evict_waiters.setdefault(line_addr, [])
-        return None
+        self._waiting[txn.line_address] = txn.deferred
 
     def finish_transaction(self, line_address: int) -> None:
         """Complete the transaction on ``line_address`` and replay deferred
@@ -305,8 +276,17 @@ class BaseL1Controller:
         txn = self._pending.pop(line_address, None)
         if txn is None:
             return
+        del self._waiting[line_address]
         for retry in txn.deferred:
             self.sim.schedule(0, retry)
+
+    def describe_pending(self) -> str:
+        """The outstanding transactions (line address, kind and issue
+        cycle), for deadlock reports."""
+        return ", ".join(
+            f"pending {txn.kind} of line {txn.line_address:#x} issued at "
+            f"cycle {txn.start_time}" for txn in self._pending.values()
+        ) or "no pending L1 transaction"
 
     def response_txn(self, msg: Message) -> PendingTransaction:
         """Return the pending transaction a data response belongs to,
@@ -326,65 +306,49 @@ class BaseL1Controller:
         """Hold a line being written back until the L2 acknowledges it, so
         forwarded requests that race with the writeback can still be served."""
         self._evicting[line.address] = line
+        self._waiting.setdefault(line.address, [])
 
     def evicting_line(self, address: int) -> Optional[CacheLine]:
         """Return the in-flight-writeback line for ``address`` if any."""
-        return self._evicting.get(self.address_map.line_address(address))
+        return self._evicting.get(address & self._line_mask)
 
     def release_evicting(self, address: int) -> Optional[CacheLine]:
         """Drop (and return) the in-flight-writeback line for ``address`` and
         wake any operations that were waiting for the writeback to finish."""
-        line_addr = self.address_map.line_address(address)
+        line_addr = address & self._line_mask
         line = self._evicting.pop(line_addr, None)
-        for retry in self._evict_waiters.pop(line_addr, []):
-            self.sim.schedule(0, retry)
+        if line is not None:
+            for retry in self._waiting.pop(line_addr):
+                self.sim.schedule(0, retry)
         return line
-
-    def wait_for_writeback(self, address: int, retry: Callable[[], None]) -> bool:
-        """Defer ``retry`` until an in-flight writeback of the line of
-        ``address`` has been acknowledged; returns ``True`` if deferred.
-
-        Re-requesting a line whose writeback is still in flight could let the
-        L2 respond with stale data, so core operations must wait.
-        """
-        line_addr = self.address_map.line_address(address)
-        if line_addr in self._evicting:
-            self._evict_waiters.setdefault(line_addr, []).append(retry)
-            return True
-        return False
 
     # -- completion accounting -------------------------------------------------
 
-    # Completion accounting schedules the finish step as an argument event
-    # (schedule_call) rather than a fresh closure — one event either way,
-    # but no per-operation closure + cell allocations.
+    # Each operation completes ``hit_latency`` cycles from now, as one event
+    # that calls the core's callback directly.  Its count and latency are
+    # recorded here, when the completion is scheduled: the latency
+    # (now + hit_latency - start) is already known, and a run cannot end
+    # with a completion still queued (a core finishes only after its last
+    # operation completed; any other early end raises), so the end-of-run
+    # statistics are the same as counting at completion time.
 
     def _complete_load(self, callback: Callable[[int], None], value: int, start: int) -> None:
-        self.sim.schedule_call(self.hit_latency, self._finish_load,
-                               callback, value, start)
-
-    def _finish_load(self, callback: Callable[[int], None], value: int, start: int) -> None:
-        self.stats.loads += 1
-        self.stats.load_latency_total += self.sim.now - start
-        callback(value)
+        stats = self.stats
+        stats.loads += 1
+        stats.load_latency_total += self.sim.now + self.hit_latency - start
+        self.sim.schedule_call(self.hit_latency, callback, value)
 
     def _complete_store(self, callback: Callable[[], None], start: int) -> None:
-        self.sim.schedule_call(self.hit_latency, self._finish_store,
-                               callback, start)
-
-    def _finish_store(self, callback: Callable[[], None], start: int) -> None:
-        self.stats.stores += 1
-        self.stats.store_latency_total += self.sim.now - start
-        callback()
+        stats = self.stats
+        stats.stores += 1
+        stats.store_latency_total += self.sim.now + self.hit_latency - start
+        self.sim.schedule(self.hit_latency, callback)
 
     def _complete_rmw(self, callback: Callable[[int], None], old: int, start: int) -> None:
-        self.sim.schedule_call(self.hit_latency, self._finish_rmw,
-                               callback, old, start)
-
-    def _finish_rmw(self, callback: Callable[[int], None], old: int, start: int) -> None:
-        self.stats.rmws += 1
-        self.stats.rmw_latency_total += self.sim.now - start
-        callback(old)
+        stats = self.stats
+        stats.rmws += 1
+        stats.rmw_latency_total += self.sim.now + self.hit_latency - start
+        self.sim.schedule_call(self.hit_latency, callback, old)
 
     # -- transaction retirement --------------------------------------------------
 
@@ -541,20 +505,24 @@ class BaseL2Controller:
         self.stats = stats
         self.access_latency = access_latency
         self.node_id = topology.l2_node(tile_id)
+        self._line_mask = address_map.line_mask
+        #: Node id of every core's L1, indexed by core id.
+        self.l1_nodes = tuple(topology.all_l1_nodes())
         # line address -> queued messages waiting for the line to unblock
         self._blocked: Dict[int, List[Message]] = {}
         # line address -> in-progress recall/eviction bookkeeping
         self._recalls: Dict[int, Dict] = {}
-        self._pool = network.pool
         self._dispatch = compile_dispatch(self, self.message_handlers)
         # blocking_types compiled to a flat bool table (MessageType.index).
         self._blocking = tuple(mtype in self.blocking_types
                                for mtype in MessageType)
         # Prebound eviction filter for allocate_line (one closure per tile
-        # instead of one per allocation).
+        # instead of one per allocation): a blocked or mid-recall line is
+        # busy.  Resident lines are keyed by their line address.
+        blocked = self._blocked
+        recalls = self._recalls
         self._can_evict = lambda cand: (
-            not self.is_blocked(cand.address)
-            and cand.address not in self._recalls)
+            cand.address not in blocked and cand.address not in recalls)
         network.register(self.node_id, self)
 
     # -- messaging ------------------------------------------------------------
@@ -573,26 +541,17 @@ class BaseL2Controller:
         ``delay`` adds tile occupancy (e.g. the tag/data access latency) on
         top of the network latency before the message is delivered.
 
-        The message comes from the network's free-list and is recycled after
+        The message comes from the network's free list and is recycled after
         delivery; receivers that keep it must call :meth:`Message.retain`.
         """
-        msg = self._pool.acquire(mtype, self.node_id, dst, address, data, info)
-        self.network.send(msg, extra_delay=delay)
-        return msg
-
-    def l1_node(self, core_id: int) -> int:
-        """Node id of core ``core_id``'s L1 controller."""
-        return self.topology.l1_node(core_id)
+        return self.network.send(mtype, self.node_id, dst, address, data,
+                                 info, delay)
 
     # -- line blocking -----------------------------------------------------------
 
-    def is_blocked(self, address: int) -> bool:
-        """``True`` while the line of ``address`` is in a transient state."""
-        return self.address_map.line_address(address) in self._blocked
-
     def block(self, address: int) -> None:
         """Put the line of ``address`` into a transient (blocked) state."""
-        line_addr = self.address_map.line_address(address)
+        line_addr = address & self._line_mask
         if line_addr in self._blocked:
             raise RuntimeError(
                 f"L2[{self.tile_id}]: line {line_addr:#x} is already blocked"
@@ -604,11 +563,10 @@ class BaseL2Controller:
         if it was queued."""
         if msg.address is None:
             return False
-        line_addr = self.address_map.line_address(msg.address)
-        queue = self._blocked.get(line_addr)
+        queue = self._blocked.get(msg.address & self._line_mask)
         if queue is None:
             return False
-        # The message outlives its delivery callback; keep it out of the pool.
+        # The message outlives its delivery callback; keep it off the free list.
         msg.retained = True
         queue.append(msg)
         return True
@@ -616,8 +574,7 @@ class BaseL2Controller:
     def unblock(self, address: int) -> None:
         """Leave the transient state for the line of ``address`` and replay
         any queued messages in arrival order."""
-        line_addr = self.address_map.line_address(address)
-        queue = self._blocked.pop(line_addr, None)
+        queue = self._blocked.pop(address & self._line_mask, None)
         if not queue:
             return
         for queued in queue:

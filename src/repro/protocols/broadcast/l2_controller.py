@@ -111,7 +111,7 @@ class BroadcastL2Controller(BaseL2Controller):
         mtype = MessageType.INV if write else MessageType.FWD_GETS
         self.stats.forwarded_requests += len(others)
         for core in others:
-            self.send(mtype, self.l1_node(core), address=line.address,
+            self.send(mtype, self.l1_nodes[core], address=line.address,
                       requester=requester)
 
     def _on_snoop_ack(self, msg: Message) -> None:
@@ -149,7 +149,7 @@ class BroadcastL2Controller(BaseL2Controller):
             mtype = MessageType.DATA_X
         else:
             mtype = MessageType.DATA_S if had_copy else MessageType.DATA_E
-        self.send(mtype, self.l1_node(requester), address=line.address,
+        self.send(mtype, self.l1_nodes[requester], address=line.address,
                   data=line.copy_data(), delay=self.access_latency)
 
     def _on_grant_installed(self, msg: Message) -> None:
@@ -203,5 +203,5 @@ class BroadcastL2Controller(BaseL2Controller):
         self.record_l2_eviction(victim)
         self.begin_recall(victim, pending=self.num_cores)
         for core in range(self.num_cores):
-            self.send(MessageType.INV, self.l1_node(core),
+            self.send(MessageType.INV, self.l1_nodes[core],
                       address=victim.address, recall=True)

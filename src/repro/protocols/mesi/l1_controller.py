@@ -61,17 +61,16 @@ class MESIL1Controller(BaseL1Controller):
 
     def issue_load(self, address: int, callback: Callable[[int], None]) -> None:
         """Perform a word load (see :class:`L1ControllerInterface`)."""
-        queue = self._defer_queue(address)
+        queue = self._waiting.get(address & self._line_mask)
         if queue is not None:
             queue.append(lambda: self.issue_load(address, callback))
             return
         start = self.sim.now
         line = self.cache.get_line(address)
         if line is not None and isinstance(line.state, self.state_enum):
-            self.stats.record_hit("read", line.state.category)
-            offset = self.address_map.line_offset(address)
-            value = line.read_word(offset)
-            self._complete_load(callback, value, start)
+            self.stats.read_hits[line.state.category] += 1
+            self._complete_load(
+                callback, line.data.get(address & self._offset_mask, 0), start)
             return
         self.stats.record_miss("read", "invalid")
         txn = PendingTransaction(
@@ -87,7 +86,7 @@ class MESIL1Controller(BaseL1Controller):
 
     def issue_store(self, address: int, value: int, callback: Callable[[], None]) -> None:
         """Perform a word store (called by the core's write-buffer drain)."""
-        queue = self._defer_queue(address)
+        queue = self._waiting.get(address & self._line_mask)
         if queue is not None:
             queue.append(lambda: self.issue_store(address, value, callback))
             return
@@ -95,8 +94,9 @@ class MESIL1Controller(BaseL1Controller):
         line = self.cache.get_line(address)
         if line is not None and isinstance(line.state, self.state_enum) and line.state.is_private:
             line.state = self.modified_state
-            line.write_word(self.address_map.line_offset(address), value)
-            self.stats.record_hit("write", "private")
+            line.data[address & self._offset_mask] = value
+            line.dirty = True
+            self.stats.write_hits["private"] += 1
             self._complete_store(callback, start)
             return
         category = "shared" if line is not None else "invalid"
@@ -118,18 +118,20 @@ class MESIL1Controller(BaseL1Controller):
         self, address: int, modify: Callable[[int], int], callback: Callable[[int], None]
     ) -> None:
         """Perform an atomic read-modify-write."""
-        queue = self._defer_queue(address)
+        queue = self._waiting.get(address & self._line_mask)
         if queue is not None:
             queue.append(lambda: self.issue_rmw(address, modify, callback))
             return
         start = self.sim.now
         line = self.cache.get_line(address)
         if line is not None and isinstance(line.state, self.state_enum) and line.state.is_private:
-            offset = self.address_map.line_offset(address)
-            old = line.read_word(offset)
-            line.write_word(offset, modify(old))
+            data = line.data
+            offset = address & self._offset_mask
+            old = data.get(offset, 0)
+            data[offset] = modify(old)
+            line.dirty = True
             line.state = self.modified_state
-            self.stats.record_hit("write", "private")
+            self.stats.write_hits["private"] += 1
             self._complete_rmw(callback, old, start)
             return
         category = "shared" if line is not None else "invalid"
@@ -228,7 +230,7 @@ class MESIL1Controller(BaseL1Controller):
         if line is not None and self.cache.get_line(msg.address) is line:
             line.state = self.shared_state
             line.dirty = False
-        self.send(MessageType.DATA_OWNER, self.topology.l1_node(requester),
+        self.send(MessageType.DATA_OWNER, self.l1_nodes[requester],
                   address=msg.address, data=data, writer=self.core_id)
         self.send(MessageType.DOWNGRADE_ACK, msg.src, address=msg.address,
                   data=data, dirty=dirty, owner=self.core_id, requester=requester)
@@ -244,7 +246,7 @@ class MESIL1Controller(BaseL1Controller):
         if self.cache.get_line(msg.address) is not None:
             self.cache.remove(msg.address)
         self.stats.invalidations_received += 1
-        self.send(MessageType.DATA_OWNER, self.topology.l1_node(requester),
+        self.send(MessageType.DATA_OWNER, self.l1_nodes[requester],
                   address=msg.address, data=data, writer=self.core_id)
         self.send(MessageType.TRANSFER_ACK, msg.src, address=msg.address,
                   new_owner=requester, old_owner=self.core_id)

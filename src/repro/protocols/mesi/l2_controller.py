@@ -82,7 +82,7 @@ class MESIL2Controller(BaseL2Controller):
         line.state = self.exclusive_state
         line.owner = requester
         line.sharers = set()
-        self.send(MessageType.DATA_E, self.l1_node(requester),
+        self.send(MessageType.DATA_E, self.l1_nodes[requester],
                   address=line.address, data=line.copy_data(),
                   delay=self.access_latency)
 
@@ -91,7 +91,7 @@ class MESIL2Controller(BaseL2Controller):
         line.state = self.exclusive_state
         line.owner = requester
         line.sharers = set()
-        self.send(MessageType.DATA_X, self.l1_node(requester),
+        self.send(MessageType.DATA_X, self.l1_nodes[requester],
                   address=line.address, data=line.copy_data(),
                   delay=self.access_latency)
 
@@ -110,7 +110,7 @@ class MESIL2Controller(BaseL2Controller):
             return
         if line.state is self.shared_state:
             line.sharers.add(requester)
-            self.send(MessageType.DATA_S, self.l1_node(requester),
+            self.send(MessageType.DATA_S, self.l1_nodes[requester],
                       address=line.address, data=line.copy_data(),
                       delay=self.access_latency)
             return
@@ -123,7 +123,7 @@ class MESIL2Controller(BaseL2Controller):
         self.stats.forwarded_requests += 1
         self.block(line.address)
         self._dir_txn[line.address] = {"type": "gets_fwd", "requester": requester}
-        self.send(MessageType.FWD_GETS, self.l1_node(line.owner),
+        self.send(MessageType.FWD_GETS, self.l1_nodes[line.owner],
                   address=line.address, requester=requester)
 
     def _on_downgrade_ack(self, msg: Message) -> None:
@@ -164,12 +164,12 @@ class MESIL2Controller(BaseL2Controller):
                     # the line contents ride along (counted as a control
                     # message) so a requester whose shared copy was lost in
                     # flight can still complete correctly.
-                    self.send(MessageType.ACK, self.l1_node(requester),
+                    self.send(MessageType.ACK, self.l1_nodes[requester],
                               address=line.address, grant=True,
                               data=line.copy_data(),
                               delay=self.access_latency)
                 else:
-                    self.send(MessageType.DATA_X, self.l1_node(requester),
+                    self.send(MessageType.DATA_X, self.l1_nodes[requester],
                               address=line.address, data=line.copy_data(),
                               delay=self.access_latency)
                 return
@@ -182,7 +182,7 @@ class MESIL2Controller(BaseL2Controller):
                 "was_sharer": was_sharer,
             }
             for sharer in others:
-                self.send(MessageType.INV, self.l1_node(sharer),
+                self.send(MessageType.INV, self.l1_nodes[sharer],
                           address=line.address, requester=requester)
             return
         # EXCLUSIVE
@@ -192,7 +192,7 @@ class MESIL2Controller(BaseL2Controller):
         self.stats.forwarded_requests += 1
         self.block(line.address)
         self._dir_txn[line.address] = {"type": "getx_fwd", "requester": requester}
-        self.send(MessageType.FWD_GETX, self.l1_node(line.owner),
+        self.send(MessageType.FWD_GETX, self.l1_nodes[line.owner],
                   address=line.address, requester=requester)
 
     def _on_inv_ack(self, msg: Message) -> None:
@@ -214,11 +214,11 @@ class MESIL2Controller(BaseL2Controller):
             line.owner = requester
             line.sharers = set()
             if txn["was_sharer"]:
-                self.send(MessageType.ACK, self.l1_node(requester),
+                self.send(MessageType.ACK, self.l1_nodes[requester],
                           address=line.address, grant=True,
                           data=line.copy_data())
             else:
-                self.send(MessageType.DATA_X, self.l1_node(requester),
+                self.send(MessageType.DATA_X, self.l1_nodes[requester],
                           address=line.address, data=line.copy_data(),
                           delay=self.access_latency)
         self.unblock(msg.address)
@@ -271,7 +271,7 @@ class MESIL2Controller(BaseL2Controller):
         self.block(line_addr)
         requester = request.info["requester"]
         # Capture what the continuation needs as locals, not the request
-        # itself (pooled messages must not outlive their delivery).
+        # itself (recycled messages must not outlive their delivery).
         is_gets = request.mtype is MessageType.GETS
 
         def on_data(data: Dict[int, int]) -> None:
@@ -295,13 +295,13 @@ class MESIL2Controller(BaseL2Controller):
             return
         if victim.state is self.exclusive_state:
             self.begin_recall(victim, pending=1)
-            self.send(MessageType.RECALL, self.l1_node(victim.owner),
+            self.send(MessageType.RECALL, self.l1_nodes[victim.owner],
                       address=victim.address)
         else:  # SHARED
             sharers = set(victim.sharers)
             self.begin_recall(victim, pending=len(sharers))
             for sharer in sharers:
-                self.send(MessageType.INV, self.l1_node(sharer),
+                self.send(MessageType.INV, self.l1_nodes[sharer],
                           address=victim.address, recall=True)
             if not sharers:
                 self._finish_empty_recall(victim.address)

@@ -12,21 +12,21 @@ from enum import Enum
 
 
 class MESIL1State(Enum):
-    """Stable states of a line in a private L1 cache under MESI."""
+    """Stable states of a line in a private L1 cache under MESI.
+
+    Each member carries two plain attributes, read on every L1 hit:
+    ``is_private`` (Exclusive/Modified: the core may write silently) and
+    ``category``, the statistics category (``"shared"`` or ``"private"``).
+    """
 
     SHARED = "S"
     EXCLUSIVE = "E"
     MODIFIED = "M"
 
-    @property
-    def is_private(self) -> bool:
-        """``True`` for Exclusive/Modified (the core may write silently)."""
-        return self in (MESIL1State.EXCLUSIVE, MESIL1State.MODIFIED)
 
-    @property
-    def category(self) -> str:
-        """Statistics category: ``"shared"`` or ``"private"``."""
-        return "shared" if self is MESIL1State.SHARED else "private"
+for _state in MESIL1State:
+    _state.is_private = _state is not MESIL1State.SHARED
+    _state.category = "shared" if _state is MESIL1State.SHARED else "private"
 
 
 class MESIDirState(Enum):

@@ -55,7 +55,7 @@ class MOESIL1Controller(MESIL1Controller):
         resident = line is not None and self.cache.get_line(msg.address) is line
         if resident and (line.dirty or line.state is self.owned_state):
             line.state = self.owned_state
-            self.send(MessageType.DATA_OWNER, self.topology.l1_node(requester),
+            self.send(MessageType.DATA_OWNER, self.l1_nodes[requester],
                       address=msg.address, data=data, writer=self.core_id)
             self.send(MessageType.DOWNGRADE_ACK, msg.src, address=msg.address,
                       owned=True, owner=self.core_id, requester=requester)
@@ -64,7 +64,7 @@ class MOESIL1Controller(MESIL1Controller):
         if resident:
             line.state = self.shared_state
             line.dirty = False
-        self.send(MessageType.DATA_OWNER, self.topology.l1_node(requester),
+        self.send(MessageType.DATA_OWNER, self.l1_nodes[requester],
                   address=msg.address, data=data, writer=self.core_id)
         self.send(MessageType.DOWNGRADE_ACK, msg.src, address=msg.address,
                   data=data, dirty=dirty, owner=self.core_id,

@@ -50,14 +50,14 @@ class MOESIL2Controller(MESIL2Controller):
             # the requester itself would deadlock, so re-grant a Shared copy
             # from the L2's data.
             line.sharers.add(requester)
-            self.send(MessageType.DATA_S, self.l1_node(requester),
+            self.send(MessageType.DATA_S, self.l1_nodes[requester],
                       address=line.address, data=line.copy_data(),
                       delay=self.access_latency)
             return
         self.stats.forwarded_requests += 1
         self.block(line.address)
         self._dir_txn[line.address] = {"type": "gets_fwd", "requester": requester}
-        self.send(MessageType.FWD_GETS, self.l1_node(line.owner),
+        self.send(MessageType.FWD_GETS, self.l1_nodes[line.owner],
                   address=line.address, requester=requester)
 
     def _on_downgrade_ack(self, msg: Message) -> None:
@@ -99,7 +99,7 @@ class MOESIL2Controller(MESIL2Controller):
             if not others:
                 line.state = self.exclusive_state
                 line.sharers = set()
-                self.send(MessageType.ACK, self.l1_node(requester),
+                self.send(MessageType.ACK, self.l1_nodes[requester],
                           address=line.address, grant=True,
                           data=line.copy_data(),
                           delay=self.access_latency)
@@ -112,7 +112,7 @@ class MOESIL2Controller(MESIL2Controller):
                 "was_sharer": True,
             }
             for sharer in others:
-                self.send(MessageType.INV, self.l1_node(sharer),
+                self.send(MessageType.INV, self.l1_nodes[sharer],
                           address=line.address, requester=requester)
             return
         # Another core writes an Owned line: phase 1 invalidates the sharers
@@ -129,7 +129,7 @@ class MOESIL2Controller(MESIL2Controller):
             "pending_acks": len(others),
         }
         for sharer in others:
-            self.send(MessageType.INV, self.l1_node(sharer),
+            self.send(MessageType.INV, self.l1_nodes[sharer],
                       address=line.address, requester=requester)
 
     def _start_owned_handoff(self, line: CacheLine, requester: int) -> None:
@@ -138,7 +138,7 @@ class MOESIL2Controller(MESIL2Controller):
         transaction (finalized by the inherited ``_on_transfer_ack``)."""
         line.sharers = set()
         self._dir_txn[line.address] = {"type": "getx_fwd", "requester": requester}
-        self.send(MessageType.FWD_GETX, self.l1_node(line.owner),
+        self.send(MessageType.FWD_GETX, self.l1_nodes[line.owner],
                   address=line.address, requester=requester)
 
     def _on_inv_ack(self, msg: Message) -> None:
@@ -198,8 +198,8 @@ class MOESIL2Controller(MESIL2Controller):
         self.record_l2_eviction(victim)
         sharers = set(victim.sharers)
         self.begin_recall(victim, pending=1 + len(sharers))
-        self.send(MessageType.RECALL, self.l1_node(victim.owner),
+        self.send(MessageType.RECALL, self.l1_nodes[victim.owner],
                   address=victim.address)
         for sharer in sharers:
-            self.send(MessageType.INV, self.l1_node(sharer),
+            self.send(MessageType.INV, self.l1_nodes[sharer],
                       address=victim.address, recall=True)

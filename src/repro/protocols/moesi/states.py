@@ -23,27 +23,24 @@ from enum import Enum
 
 
 class MOESIL1State(Enum):
-    """Stable states of a line in a private L1 cache under MOESI."""
+    """Stable states of a line in a private L1 cache under MOESI.
+
+    Members carry ``is_private`` and ``category`` as plain attributes, like
+    :class:`~repro.protocols.mesi.states.MESIL1State`.  Owned is *not*
+    private (sharers exist, so a write needs an upgrade) and has its own
+    ``"owned"`` category.
+    """
 
     SHARED = "S"
     EXCLUSIVE = "E"
     OWNED = "O"
     MODIFIED = "M"
 
-    @property
-    def is_private(self) -> bool:
-        """``True`` for Exclusive/Modified (silently writable).  Owned is
-        *not* private: sharers exist, so a write needs an upgrade."""
-        return self in (MOESIL1State.EXCLUSIVE, MOESIL1State.MODIFIED)
 
-    @property
-    def category(self) -> str:
-        """Statistics category: ``"shared"``, ``"owned"`` or ``"private"``."""
-        if self is MOESIL1State.SHARED:
-            return "shared"
-        if self is MOESIL1State.OWNED:
-            return "owned"
-        return "private"
+for _state in MOESIL1State:
+    _state.is_private = _state in (MOESIL1State.EXCLUSIVE, MOESIL1State.MODIFIED)
+    _state.category = {MOESIL1State.SHARED: "shared",
+                       MOESIL1State.OWNED: "owned"}.get(_state, "private")
 
 
 class MOESIDirState(Enum):

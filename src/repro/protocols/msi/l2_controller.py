@@ -26,6 +26,6 @@ class MSIL2Controller(MESIL2Controller):
         line.state = MSIDirState.SHARED
         line.owner = None
         line.sharers = {requester}
-        self.send(MessageType.DATA_S, self.l1_node(requester),
+        self.send(MessageType.DATA_S, self.l1_nodes[requester],
                   address=line.address, data=line.copy_data(),
                   delay=self.access_latency)

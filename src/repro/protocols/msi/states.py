@@ -19,17 +19,17 @@ MSIDirState = MESIDirState
 
 
 class MSIL1State(Enum):
-    """Stable states of a line in a private L1 cache under MSI."""
+    """Stable states of a line in a private L1 cache under MSI.
+
+    Members carry ``is_private`` (only Modified: MSI has no clean-private
+    state) and ``category`` (``"shared"`` or ``"private"``) as plain
+    attributes, like :class:`~repro.protocols.mesi.states.MESIL1State`.
+    """
 
     SHARED = "S"
     MODIFIED = "M"
 
-    @property
-    def is_private(self) -> bool:
-        """``True`` only for Modified (MSI has no clean-private state)."""
-        return self is MSIL1State.MODIFIED
 
-    @property
-    def category(self) -> str:
-        """Statistics category: ``"shared"`` or ``"private"``."""
-        return "shared" if self is MSIL1State.SHARED else "private"
+for _state in MSIL1State:
+    _state.is_private = _state is MSIL1State.MODIFIED
+    _state.category = "shared" if _state is MSIL1State.SHARED else "private"

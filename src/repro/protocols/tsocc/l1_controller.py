@@ -70,6 +70,10 @@ class TSOCCL1Controller(BaseL1Controller):
     ) -> None:
         super().__init__(*args, **kwargs)
         self.config = protocol_config
+        # Derived config values, read on every Shared hit / data response
+        # (the config computes them per access).
+        self._max_shared_hits = protocol_config.max_shared_hits
+        self._write_grouped = protocol_config.write_group_size > 1
         self.num_cores = num_cores
         self.num_l2_tiles = num_l2_tiles
         if protocol_config.use_timestamps:
@@ -90,24 +94,25 @@ class TSOCCL1Controller(BaseL1Controller):
 
     def issue_load(self, address: int, callback: Callable[[int], None]) -> None:
         """Perform a word load (bounded Shared hits, see module docstring)."""
-        queue = self._defer_queue(address)
+        queue = self._waiting.get(address & self._line_mask)
         if queue is not None:
             queue.append(lambda: self.issue_load(address, callback))
             return
         start = self.sim.now
         line = self.cache.get_line(address)
-        offset = self.address_map.line_offset(address)
         if line is not None and isinstance(line.state, TSOCCL1State):
             state = line.state
             if state.is_private or state is TSOCCL1State.SHARED_RO:
-                self.stats.record_hit("read", state.category)
-                self._complete_load(callback, line.read_word(offset), start)
+                self.stats.read_hits[state.category] += 1
+                self._complete_load(
+                    callback, line.data.get(address & self._offset_mask, 0), start)
                 return
             # Shared: hits are bounded by the access counter (b.acnt).
-            if self.config.max_shared_hits > 0 and line.acnt < self.config.max_shared_hits:
+            if line.acnt < self._max_shared_hits:
                 line.acnt += 1
-                self.stats.record_hit("read", "shared")
-                self._complete_load(callback, line.read_word(offset), start)
+                self.stats.read_hits["shared"] += 1
+                self._complete_load(
+                    callback, line.data.get(address & self._offset_mask, 0), start)
                 return
             self.stats.record_miss("read", "shared")
         else:
@@ -125,17 +130,18 @@ class TSOCCL1Controller(BaseL1Controller):
 
     def issue_store(self, address: int, value: int, callback: Callable[[], None]) -> None:
         """Perform a word store (called from the core's write-buffer drain)."""
-        queue = self._defer_queue(address)
+        queue = self._waiting.get(address & self._line_mask)
         if queue is not None:
             queue.append(lambda: self.issue_store(address, value, callback))
             return
         start = self.sim.now
         line = self.cache.get_line(address)
         if line is not None and isinstance(line.state, TSOCCL1State) and line.state.is_private:
-            line.write_word(self.address_map.line_offset(address), value)
+            line.data[address & self._offset_mask] = value
+            line.dirty = True
             line.state = TSOCCL1State.MODIFIED
             self._record_write(line)
-            self.stats.record_hit("write", "private")
+            self.stats.write_hits["private"] += 1
             self._complete_store(callback, start)
             return
         category = self._miss_category(line)
@@ -156,19 +162,21 @@ class TSOCCL1Controller(BaseL1Controller):
         self, address: int, modify: Callable[[int], int], callback: Callable[[int], None]
     ) -> None:
         """Perform an atomic read-modify-write (issues GetX like a write)."""
-        queue = self._defer_queue(address)
+        queue = self._waiting.get(address & self._line_mask)
         if queue is not None:
             queue.append(lambda: self.issue_rmw(address, modify, callback))
             return
         start = self.sim.now
         line = self.cache.get_line(address)
         if line is not None and isinstance(line.state, TSOCCL1State) and line.state.is_private:
-            offset = self.address_map.line_offset(address)
-            old = line.read_word(offset)
-            line.write_word(offset, modify(old))
+            data = line.data
+            offset = address & self._offset_mask
+            old = data.get(offset, 0)
+            data[offset] = modify(old)
+            line.dirty = True
             line.state = TSOCCL1State.MODIFIED
             self._record_write(line)
-            self.stats.record_hit("write", "private")
+            self.stats.write_hits["private"] += 1
             self._complete_rmw(callback, old, start)
             return
         category = self._miss_category(line)
@@ -236,11 +244,11 @@ class TSOCCL1Controller(BaseL1Controller):
     def _self_invalidate(self, cause: str, from_response: bool) -> None:
         """Invalidate every line in the Shared state (SharedRO, Exclusive and
         Modified lines are never self-invalidated)."""
-        victims = [
-            line for line in self.cache.lines() if line.state is TSOCCL1State.SHARED
-        ]
+        cache = self.cache
+        victims = [line for line in cache.lines()
+                   if line.state is TSOCCL1State.SHARED]
         for line in victims:
-            self.cache.remove(line.address)
+            cache.remove(line.address)
         self.stats.record_self_invalidation(cause, len(victims), from_response)
 
     def _self_invalidation_decision(self, msg: Message) -> Optional[str]:
@@ -285,7 +293,7 @@ class TSOCCL1Controller(BaseL1Controller):
         last_seen = self.ts_l1.get(writer)
         if last_seen is None:
             return "acquire"
-        if self.config.write_group_size > 1:
+        if self._write_grouped:
             newer = ts >= last_seen
         else:
             newer = ts > last_seen
@@ -409,7 +417,7 @@ class TSOCCL1Controller(BaseL1Controller):
             line.state = TSOCCL1State.SHARED
             line.acnt = 0
             line.dirty = False
-        self.send(MessageType.DATA_S, self.topology.l1_node(requester),
+        self.send(MessageType.DATA_S, self.l1_nodes[requester],
                   address=msg.address, data=data, writer=writer, ts=ts,
                   epoch=epoch if epoch is not None else 0)
         self.send(MessageType.DOWNGRADE_ACK, msg.src, address=msg.address,
@@ -430,7 +438,7 @@ class TSOCCL1Controller(BaseL1Controller):
         if self.cache.get_line(msg.address) is not None:
             self.cache.remove(msg.address)
         self.stats.invalidations_received += 1
-        self.send(MessageType.DATA_OWNER, self.topology.l1_node(requester),
+        self.send(MessageType.DATA_OWNER, self.l1_nodes[requester],
                   address=msg.address, data=data, writer=writer, ts=ts,
                   epoch=epoch if epoch is not None else 0)
         self.send(MessageType.TRANSFER_ACK, msg.src, address=msg.address,

@@ -74,6 +74,8 @@ class TSOCCL2Controller(BaseL2Controller):
     ) -> None:
         super().__init__(*args, **kwargs)
         self.config = protocol_config
+        # Derived config value read on every GetS to a Shared line.
+        self._decay_delta = protocol_config.decay_timestamp_delta
         self.num_cores = num_cores
         if (
             protocol_config.use_shared_ro
@@ -171,21 +173,21 @@ class TSOCCL2Controller(BaseL2Controller):
             self.stats.forwarded_requests += 1
             self.block(line.address)
             self._txn[line.address] = {"type": "fwd_gets", "requester": requester}
-            self.send(MessageType.FWD_GETS, self.l1_node(line.owner),
+            self.send(MessageType.FWD_GETS, self.l1_nodes[line.owner],
                       address=line.address, requester=requester)
             return
         if line.state is TSOCCL2State.SHARED and self._should_decay(line):
             self._transition_to_sro(line, decayed=True)
         if line.state is TSOCCL2State.SHARED:
             fields = self._response_ts(line)
-            self.send(MessageType.DATA_S, self.l1_node(requester),
+            self.send(MessageType.DATA_S, self.l1_nodes[requester],
                       address=line.address, data=line.copy_data(),
                       delay=self.access_latency, **fields)
             return
         # SHARED_RO
         line.sharers.add(self.group_of(requester))
         fields = self._sro_response_ts(line)
-        self.send(MessageType.DATA_SRO, self.l1_node(requester),
+        self.send(MessageType.DATA_SRO, self.l1_nodes[requester],
                   address=line.address, data=line.copy_data(),
                   delay=self.access_latency, **fields)
 
@@ -212,7 +214,7 @@ class TSOCCL2Controller(BaseL2Controller):
             self.stats.forwarded_requests += 1
             self.block(line.address)
             self._txn[line.address] = {"type": "fwd_getx", "requester": requester}
-            self.send(MessageType.FWD_GETX, self.l1_node(line.owner),
+            self.send(MessageType.FWD_GETX, self.l1_nodes[line.owner],
                       address=line.address, requester=requester)
             return
         # SHARED_RO: rare writes require eager broadcast invalidation of the
@@ -230,7 +232,7 @@ class TSOCCL2Controller(BaseL2Controller):
             "pending": len(targets),
         }
         for core in targets:
-            self.send(MessageType.INV, self.l1_node(core), address=line.address,
+            self.send(MessageType.INV, self.l1_nodes[core], address=line.address,
                       requester=requester, sro=True)
 
     def _grant_exclusive(self, line: CacheLine, requester: int,
@@ -244,7 +246,7 @@ class TSOCCL2Controller(BaseL2Controller):
         if not already_blocked:
             self.block(line.address)
         self._txn[line.address] = {"type": "await_l1_ack", "requester": requester}
-        self.send(dtype, self.l1_node(requester), address=line.address,
+        self.send(dtype, self.l1_nodes[requester], address=line.address,
                   data=line.copy_data(), delay=self.access_latency, **fields)
 
     def _on_l1_ack(self, msg: Message) -> None:
@@ -349,7 +351,7 @@ class TSOCCL2Controller(BaseL2Controller):
     def _should_decay(self, line: CacheLine) -> bool:
         """Shared lines that have not been written for ``decay_writes`` writes
         (as reflected by the writer's timestamps) decay to SharedRO (§3.4)."""
-        threshold = self.config.decay_timestamp_delta
+        threshold = self._decay_delta
         if threshold is None or not self.config.use_shared_ro:
             return False
         if line.ts is None or line.last_writer is None:
@@ -445,12 +447,12 @@ class TSOCCL2Controller(BaseL2Controller):
                 return
             self.begin_recall(victim, pending=len(targets), dirty=False)
             for core in targets:
-                self.send(MessageType.INV, self.l1_node(core),
+                self.send(MessageType.INV, self.l1_nodes[core],
                           address=victim.address, recall=True, sro=True)
             return
         # EXCLUSIVE: recall the line from its owner.
         self.begin_recall(victim, pending=1)
-        self.send(MessageType.RECALL, self.l1_node(victim.owner),
+        self.send(MessageType.RECALL, self.l1_nodes[victim.owner],
                   address=victim.address)
 
     def on_recalled_wb_data(self, msg: Message) -> None:

@@ -12,26 +12,24 @@ from enum import Enum
 
 
 class TSOCCL1State(Enum):
-    """Stable states of a line in a private L1 cache under TSO-CC."""
+    """Stable states of a line in a private L1 cache under TSO-CC.
+
+    Members carry ``is_private`` (Exclusive/Modified: the core may write
+    silently) and ``category`` (``"shared"``, ``"shared_ro"`` or
+    ``"private"``) as plain attributes, like
+    :class:`~repro.protocols.mesi.states.MESIL1State`.
+    """
 
     SHARED = "S"          # untracked shared copy; hits bounded by the access counter
     SHARED_RO = "SRO"     # shared read-only copy (§3.4); never self-invalidated
     EXCLUSIVE = "E"       # private, clean
     MODIFIED = "M"        # private, dirty
 
-    @property
-    def is_private(self) -> bool:
-        """``True`` for Exclusive/Modified (the core may write silently)."""
-        return self in (TSOCCL1State.EXCLUSIVE, TSOCCL1State.MODIFIED)
 
-    @property
-    def category(self) -> str:
-        """Statistics category: ``"shared"``, ``"shared_ro"`` or ``"private"``."""
-        if self is TSOCCL1State.SHARED:
-            return "shared"
-        if self is TSOCCL1State.SHARED_RO:
-            return "shared_ro"
-        return "private"
+for _state in TSOCCL1State:
+    _state.is_private = _state in (TSOCCL1State.EXCLUSIVE, TSOCCL1State.MODIFIED)
+    _state.category = {TSOCCL1State.SHARED: "shared",
+                       TSOCCL1State.SHARED_RO: "shared_ro"}.get(_state, "private")
 
 
 class TSOCCL2State(Enum):

@@ -45,8 +45,10 @@ Two invariants make the calendar queue observably identical to the old heap:
 
 Hot-path notes:
 
-* :meth:`Simulator.run` drains whole buckets inline; the per-event work is
-  one tuple unpack, one stop-flag load and the callback call.
+* :meth:`Simulator.run` finds the next occupied bucket and drains it
+  inline; the per-event work is one tuple unpack, one stop-flag load and
+  the callback call.  It calls :meth:`Simulator._migrate_spill` only when
+  a spilled event has come within one ring width.
 * Completion is signalled through :meth:`Simulator.request_stop` (a plain
   attribute check per event); the only other stopping condition is the
   ``max_cycles`` watchdog, checked once per drained bucket.
@@ -178,39 +180,25 @@ class Simulator:
 
     # -- queue internals -----------------------------------------------------
 
-    def _peek_next(self) -> Tuple[int, List[tuple]]:
-        """Return ``(time, bucket)`` of the earliest pending event.
+    def _migrate_spill(self, horizon: int) -> None:
+        """Move every spilled event due before ``horizon`` into its bucket.
 
-        Migrates spilled events that have come within one ring width of that
-        time into their buckets first, so same-cycle FIFO order holds across
-        the ring/spill boundary (spilled events were always scheduled
-        earlier than any ring event for the same cycle — see the module
-        docstring).  The queue must be non-empty.
+        :meth:`run` calls this before draining cycle ``T`` with horizon
+        ``T + ring_size``, so a spilled event always reaches its bucket
+        before any ring append for the same cycle can happen, and
+        same-cycle FIFO order holds across the ring/spill boundary (see
+        the module docstring).
         """
         buckets = self._buckets
         mask = self._mask
         spill = self._spill
-        if self._ring_count:
-            # All ring events live in [now, now + ring_size), so scanning
-            # forward cycle by cycle terminates within one ring width.
-            time = self.now
-            bucket = buckets[time & mask]
-            while not bucket:
-                time += 1
-                bucket = buckets[time & mask]
-        else:
-            time = spill[0][0]
-        if spill:
-            horizon = time + self._ring_size
-            count = 0
-            pop = heapq.heappop
-            while spill and spill[0][0] < horizon:
-                stime, _seq, callback, args = pop(spill)
-                buckets[stime & mask].append((callback, args))
-                count += 1
-            self._ring_count += count
-            bucket = buckets[time & mask]
-        return time, bucket
+        count = 0
+        pop = heapq.heappop
+        while spill and spill[0][0] < horizon:
+            stime, _seq, callback, args = pop(spill)
+            buckets[stime & mask].append((callback, args))
+            count += 1
+        self._ring_count += count
 
     # -- execution -----------------------------------------------------------
 
@@ -229,10 +217,26 @@ class Simulator:
         reuse the engine afterwards should clear ``stop_requested``).
         """
         spill = self._spill
+        buckets = self._buckets
+        mask = self._mask
+        ring_size = self._ring_size
         while self._ring_count or spill:
             if self.stop_requested:
                 return
-            time, bucket = self._peek_next()
+            # The earliest event: every ring event lies in
+            # [now, now + ring_size), so the scan stops within one ring
+            # width; with an empty ring it is the spill heap's head.
+            if self._ring_count:
+                time = self.now
+                bucket = buckets[time & mask]
+                while not bucket:
+                    time += 1
+                    bucket = buckets[time & mask]
+            else:
+                time = spill[0][0]
+                bucket = buckets[time & mask]
+            if spill and spill[0][0] < time + ring_size:
+                self._migrate_spill(time + ring_size)
             if max_cycles is not None and time > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded max_cycles={max_cycles}: next event "

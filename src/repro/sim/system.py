@@ -229,10 +229,12 @@ class System:
         self.sim.run(max_cycles=max_cycles)
         finished = self._finished_cores >= running_cores
         if not finished:
-            busy = [core.core_id for core in self.cores if not core.done]
+            busy = [core for core in self.cores if not core.done]
             raise DeadlockError(
                 f"simulation ended at cycle {self.sim.now} with unfinished "
-                f"cores {busy} (protocol deadlock or starved workload)"
+                f"cores {[core.core_id for core in busy]} (protocol deadlock "
+                f"or starved workload)\n"
+                + "\n".join(f"  {core.describe_stall()}" for core in busy)
             )
         return self._collect(contexts, workload_name, finished)
 

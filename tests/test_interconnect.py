@@ -105,19 +105,20 @@ def make_network(num_cores=4):
 
 def test_network_delivers_after_latency():
     sim, topo, net, sinks = make_network()
-    msg = Message(mtype=MessageType.GETS, src=0, dst=topo.l2_node(3), address=0x40)
-    latency = net.send(msg)
-    assert latency >= net.min_latency
+    msg = net.send(MessageType.GETS, 0, topo.l2_node(3), address=0x40)
+    assert (msg.mtype, msg.src, msg.dst, msg.address) == (
+        MessageType.GETS, 0, topo.l2_node(3), 0x40)
     assert sinks[topo.l2_node(3)].received == []
     sim.run()
     assert sinks[topo.l2_node(3)].received == [msg]
+    assert sim.now == net.latency(0, topo.l2_node(3), flits=1) >= net.min_latency
     assert net.in_flight == 0
 
 
 def test_network_traffic_accounting():
     sim, topo, net, sinks = make_network()
-    net.send(Message(mtype=MessageType.GETS, src=0, dst=1, address=0x40))
-    net.send(Message(mtype=MessageType.DATA_S, src=1, dst=0, address=0x40, data={0: 1}))
+    net.send(MessageType.GETS, 0, 1, address=0x40)
+    net.send(MessageType.DATA_S, 1, 0, address=0x40, data={0: 1})
     sim.run()
     assert net.stats.messages == 2
     assert net.stats.flits == 1 + 5
@@ -134,9 +135,8 @@ def test_zero_hop_message_still_weighted_as_one_hop():
     sim, topo, net, sinks = make_network()
     l2 = topo.l2_node(0)
     assert topo.hops(0, l2) == 0
-    net.send(Message(mtype=MessageType.GETS, src=0, dst=l2, address=0x40))
-    net.send(Message(mtype=MessageType.DATA_S, src=l2, dst=0, address=0x40,
-                     data={0: 1}))
+    net.send(MessageType.GETS, 0, l2, address=0x40)
+    net.send(MessageType.DATA_S, l2, 0, address=0x40, data={0: 1})
     sim.run()
     assert net.stats.flits == 1 + 5
     assert net.stats.hops_weighted_flits == 1 + 5  # floored at one hop
@@ -160,7 +160,7 @@ def test_unregistered_destination_rejected():
     topo = MeshTopology(num_cores=2, num_l2_tiles=2)
     net = Network(topology=topo, scheduler=sim)
     with pytest.raises(ValueError):
-        net.send(Message(mtype=MessageType.GETS, src=0, dst=1))
+        net.send(MessageType.GETS, 0, 1)
 
 
 def test_duplicate_registration_rejected():
@@ -177,19 +177,17 @@ def test_larger_messages_take_longer():
     assert data == control + 4
 
 
-# ------------------------------------------------------------------ message pool
+# ------------------------------------------------------------ message recycling
 
 def test_pooled_message_recycled_after_delivery():
     sim, topo, net, sinks = make_network()
-    msg = net.pool.acquire(MessageType.GETS, 0, 1, address=0x40)
-    assert msg.pooled and not msg.retained
-    net.send(msg)
+    msg = net.send(MessageType.GETS, 0, 1, address=0x40, info={"requester": 0})
+    assert not msg.retained
     sim.run()
     assert sinks[1].received == [msg]
-    # The handler returned without retaining, so the pool owns it again:
-    # the next acquire hands back the identical object, fully reset.
-    reused = net.pool.acquire(MessageType.DATA_S, 2, 3, address=0x80,
-                              data={0: 7})
+    # The handler returned without retaining, so the network owns it again:
+    # the next send hands out the identical object, fully reset.
+    reused = net.send(MessageType.DATA_S, 2, 3, address=0x80, data={0: 7})
     assert reused is msg
     assert reused.mtype is MessageType.DATA_S
     assert (reused.src, reused.dst, reused.address) == (2, 3, 0x80)
@@ -200,44 +198,37 @@ def test_pooled_message_recycled_after_delivery():
 
 def test_retained_message_survives_delivery():
     sim, topo, net, sinks = make_network()
-    msg = net.pool.acquire(MessageType.GETS, 0, 1, address=0x40,
-                           info={"requester": 0})
+    msg = net.send(MessageType.GETS, 0, 1, address=0x40, info={"requester": 0})
     msg.retain()
-    net.send(msg)
     sim.run()
-    # Retained messages are never recycled: a later acquire must not alias.
-    other = net.pool.acquire(MessageType.GETS, 0, 1, address=0x80)
+    # Retained messages are never recycled: a later send must not alias.
+    other = net.send(MessageType.GETS, 0, 1, address=0x80)
     assert other is not msg
     assert msg.info == {"requester": 0}
 
 
 def test_directly_constructed_message_never_pooled():
+    # A hand-built message (a broadcast template) is only ever copied: the
+    # copies travel and are recycled, the template never enters the free
+    # list.
     sim, topo, net, sinks = make_network()
-    msg = Message(mtype=MessageType.GETS, src=0, dst=1, address=0x40)
-    net.send(msg)
+    template = Message(mtype=MessageType.TS_RESET, src=0, dst=0,
+                       info={"epoch": 1})
+    net.broadcast(template, [1, 2])
     sim.run()
-    assert not msg.pooled
-    assert net.pool.acquire(MessageType.GETS, 0, 1) is not msg
-
-
-def test_pool_acquire_gives_fresh_uids():
-    sim, topo, net, _ = make_network()
-    a = net.pool.acquire(MessageType.GETS, 0, 1, address=0x40)
-    net.pool.release(a)
-    b = net.pool.acquire(MessageType.GETS, 0, 1, address=0x40)
-    assert a is b
-    # Same object, but logically a new message.
-    assert isinstance(b.uid, int)
+    delivered = sinks[1].received + sinks[2].received
+    assert len(delivered) == 2 and template not in delivered
+    assert all(net.send(MessageType.GETS, 0, 1) is not template
+               for _ in range(3))
 
 
 # ---------------------------------------------------------------- stats folding
 
 def test_network_stats_fold_matches_flat_counters():
     sim, topo, net, _ = make_network()
-    net.send(Message(mtype=MessageType.GETS, src=0, dst=1, address=0x40))
-    net.send(Message(mtype=MessageType.GETS, src=2, dst=1, address=0x80))
-    net.send(Message(mtype=MessageType.DATA_S, src=1, dst=0, address=0x40,
-                     data={0: 1}))
+    net.send(MessageType.GETS, 0, 1, address=0x40)
+    net.send(MessageType.GETS, 2, 1, address=0x80)
+    net.send(MessageType.DATA_S, 1, 0, address=0x40, data={0: 1})
     sim.run()
     stats = net.stats
     assert stats.by_type[MessageType.GETS] == 2
@@ -256,10 +247,10 @@ def test_network_stats_equality_after_fold():
     sim1, _, net1, _ = make_network()
     sim2, _, net2, _ = make_network()
     for net, sim in ((net1, sim1), (net2, sim2)):
-        net.send(Message(mtype=MessageType.GETS, src=0, dst=1, address=0x40))
+        net.send(MessageType.GETS, 0, 1, address=0x40)
         sim.run()
     net1.stats.by_type  # fold one side only; equality must still hold
     assert net1.stats == net2.stats
-    net2.send(Message(mtype=MessageType.GETS, src=0, dst=1, address=0x80))
+    net2.send(MessageType.GETS, 0, 1, address=0x80)
     sim2.run()
     assert net1.stats != net2.stats
