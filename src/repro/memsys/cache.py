@@ -12,7 +12,7 @@ states and decide what to do with victims returned by :meth:`CacheArray.insert`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.memsys.address import AddressMap, is_power_of_two
 from repro.memsys.cacheline import CacheLine
@@ -71,9 +71,9 @@ class CacheArray:
         self._sets: List[List[Optional[CacheLine]]] = [
             [None] * assoc for _ in range(num_sets)
         ]
-        # line_address -> (set_index, way), and line_address -> the line
-        # itself for the lookups (same keys, same order: fill order).
-        self._index: Dict[int, tuple] = {}
+        # line_address -> resident line, in fill order.  A line's way is
+        # found by scanning its set (see _locate), which only removals and
+        # touches need.
         self._lines: Dict[int, CacheLine] = {}
         self._line_mask = address_map.line_mask
         # Set index of an address: its line number masked to num_sets (a
@@ -85,10 +85,10 @@ class CacheArray:
 
     def __len__(self) -> int:
         """Number of valid lines currently resident."""
-        return len(self._index)
+        return len(self._lines)
 
     def __contains__(self, address: int) -> bool:
-        return self.address_map.line_address(address) in self._index
+        return self.address_map.line_address(address) in self._lines
 
     def lookup(self, address: int, touch: bool = True) -> CacheLookupResult:
         """Look up the line containing ``address``.
@@ -97,14 +97,12 @@ class CacheArray:
             address: any byte address within the line.
             touch: whether to update replacement state on a hit.
         """
-        line_addr = self.address_map.line_address(address)
-        loc = self._index.get(line_addr)
-        if loc is None:
+        line = self._lines.get(address & self._line_mask)
+        if line is None:
             return CacheLookupResult(hit=False, line=None)
-        set_index, way = loc
         if touch:
-            self.replacement.touch(set_index, way)
-        return CacheLookupResult(hit=True, line=self._sets[set_index][way])
+            self.replacement.touch(*self._locate(line))
+        return CacheLookupResult(hit=True, line=line)
 
     def get_line(self, address: int) -> Optional[CacheLine]:
         """Return the resident line containing ``address`` or ``None``.
@@ -117,6 +115,14 @@ class CacheArray:
     def lines(self) -> List[CacheLine]:
         """Return every resident line (a new list, in fill order)."""
         return list(self._lines.values())
+
+    def _locate(self, line: CacheLine) -> Tuple[int, int]:
+        """``(set_index, way)`` of a resident line."""
+        set_index = (line.address >> self._set_shift) & self._set_mask
+        for way, resident in enumerate(self._sets[set_index]):
+            if resident is line:
+                return set_index, way
+        raise RuntimeError(f"{self.name}: line {line.address:#x} is not resident")
 
     def set_occupancy(self, address: int) -> int:
         """Return the number of valid lines in the set that ``address`` maps
@@ -149,9 +155,9 @@ class CacheArray:
                 f"{self.name}: inserted line address {line.address:#x} is not "
                 f"aligned to {self.address_map.line_size} bytes"
             )
-        existing = self._index.get(line_addr)
+        existing = self._lines.get(line_addr)
         if existing is not None:
-            set_index, way = existing
+            set_index, way = self._locate(existing)
             self._sets[set_index][way] = line
             self._lines[line_addr] = line
             self.replacement.touch(set_index, way)
@@ -162,7 +168,6 @@ class CacheArray:
         for way, resident in enumerate(ways):
             if resident is None:
                 ways[way] = line
-                self._index[line_addr] = (set_index, way)
                 self._lines[line_addr] = line
                 self.replacement.fill(set_index, way)
                 return None
@@ -174,11 +179,9 @@ class CacheArray:
                 f"for line {line_addr:#x}"
             )
         victim = ways[victim_way]
-        del self._index[victim.address]
         del self._lines[victim.address]
         self.replacement.invalidate(set_index, victim_way)
         ways[victim_way] = line
-        self._index[line_addr] = (set_index, victim_way)
         self._lines[line_addr] = line
         self.replacement.fill(set_index, victim_way)
         return victim
@@ -187,7 +190,7 @@ class CacheArray:
         """Return ``True`` if inserting a line for ``address`` would require
         evicting a resident line (i.e. the target set is full and the address
         is not already resident)."""
-        if address & self._line_mask in self._index:
+        if address & self._line_mask in self._lines:
             return False
         for entry in self._sets[(address >> self._set_shift) & self._set_mask]:
             if entry is None:
@@ -245,12 +248,10 @@ class CacheArray:
 
     def remove(self, address: int) -> Optional[CacheLine]:
         """Remove and return the line containing ``address`` (or ``None``)."""
-        line_addr = address & self._line_mask
-        loc = self._index.pop(line_addr, None)
-        if loc is None:
+        line = self._lines.pop(address & self._line_mask, None)
+        if line is None:
             return None
-        line = self._lines.pop(line_addr)
-        set_index, way = loc
+        set_index, way = self._locate(line)
         self._sets[set_index][way] = None
         self.replacement.invalidate(set_index, way)
         return line

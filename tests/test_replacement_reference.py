@@ -1,6 +1,7 @@
 """Reference test for the cache victim path.
 
 LRU and FIFO keep their stamps in one dict per set, and ``CacheArray``
+keeps a single line index (finding a line's way by scanning its set) and
 takes set indices from a precomputed mask.  This module keeps the earlier
 tuple-keyed policies and the earlier ``CacheArray`` victim selection as
 references, drives both with random fill/touch/invalidate/victim
