@@ -105,7 +105,6 @@ def run_litmus_on_simulator(
     system_config: Optional[SystemConfig] = None,
     seed: int = 0,
     max_jitter: int = 60,
-    include_memory: bool = False,
     max_cycles: int = 5_000_000,
 ) -> LitmusResult:
     """Run ``test`` on the simulator ``iterations`` times and check outcomes.
@@ -118,10 +117,9 @@ def run_litmus_on_simulator(
             sized to the number of litmus threads).
         seed: base PRNG seed for jitter / layout perturbation.
         max_jitter: maximum inter-instruction delay inserted, in cycles.
-        include_memory: also check final memory values against the model.
         max_cycles: per-run watchdog bound.
     """
-    allowed = enumerate_tso_outcomes(test, include_memory=include_memory)
+    allowed = enumerate_tso_outcomes(test)
     num_threads = len(test.threads)
     result = LitmusResult(test=test, protocol=str(protocol), allowed=allowed)
 
@@ -145,31 +143,11 @@ def run_litmus_on_simulator(
         for context in run.contexts:
             registers.update({k: v for k, v in context.results.items()
                               if isinstance(v, int)})
-        outcome_items = dict(registers)
-        if include_memory:
-            for var, address in addresses.items():
-                outcome_items[f"[{var}]"] = _final_memory_value(system, address)
-        outcome: Outcome = tuple(sorted(outcome_items.items()))
+        outcome: Outcome = tuple(sorted(registers.items()))
         result.observed[outcome] = result.observed.get(outcome, 0) + 1
         if outcome not in allowed:
             result.violations.add(outcome)
     return result
-
-
-def _final_memory_value(system, address: int) -> int:
-    """Read the architecturally-final value of ``address`` after a run: the
-    most recent copy is in whichever cache owns the line (or memory)."""
-    # Prefer a modified/exclusive L1 copy, then the L2 copy, then memory.
-    offset = system.address_map.line_offset(address)
-    for l1 in system.l1_controllers:
-        line = l1.cache.get_line(address)
-        if line is not None and getattr(line.state, "is_private", False):
-            return line.read_word(offset)
-    tile = system.address_map.home_tile(address)
-    line = system.l2_controllers[tile].cache.get_line(address)
-    if line is not None:
-        return line.read_word(offset)
-    return system.memory.peek_word(address)
 
 
 def verify_litmus(

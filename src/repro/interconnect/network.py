@@ -247,10 +247,9 @@ class Network:
         self._hops = topology.hops_table
         self._ctrl_flits = max(1, -(-header_bytes // flit_bytes))
         self._data_flits = max(1, -(-(header_bytes + line_bytes) // flit_bytes))
-        max_hops = max((max(row) for row in self._hops), default=0)
         self._base_latency = tuple(
             router_latency * (h + 1) + link_latency * h
-            for h in range(max_hops + 1)
+            for h in range(topology.max_hops + 1)
         )
 
     # -- registration ------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,11 @@ class MeshTopology:
             for (r1, c1) in positions
         )
 
+    @cached_property
+    def max_hops(self) -> int:
+        """The largest hop count between any two nodes."""
+        return max(max(row) for row in self.hops_table)
+
     def node_position(self, node_id: int) -> Tuple[int, int]:
         """Return the (row, col) mesh coordinates of a network node.
 
@@ -134,13 +139,15 @@ class MeshTopology:
             raise ValueError(f"unknown node id in ({src}, {dst})")
         return self.hops_table[src][dst]
 
-    def all_l1_nodes(self) -> list[int]:
-        """Node ids of every L1 controller."""
-        return [self.l1_node(i) for i in range(self.num_cores)]
+    @cached_property
+    def l1_nodes(self) -> Tuple[int, ...]:
+        """Node ids of every L1 controller, indexed by core id."""
+        return tuple(range(self.num_cores))
 
-    def all_l2_nodes(self) -> list[int]:
-        """Node ids of every L2 tile."""
-        return [self.l2_node(i) for i in range(self.num_l2_tiles)]
+    @cached_property
+    def l2_nodes(self) -> Tuple[int, ...]:
+        """Node ids of every L2 tile, indexed by tile id."""
+        return tuple(range(self.num_cores, self.num_nodes))
 
     # -- validation --------------------------------------------------------
 

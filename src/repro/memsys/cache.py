@@ -67,10 +67,9 @@ class CacheArray:
             self.replacement = make_replacement_policy(replacement)
         else:
             self.replacement = replacement
-        # sets[set_index][way] -> CacheLine or None
-        self._sets: List[List[Optional[CacheLine]]] = [
-            [None] * assoc for _ in range(num_sets)
-        ]
+        # sets[set_index][way] -> CacheLine or None.  A set's way list is
+        # created by its first fill; ``None`` stands for a set never filled.
+        self._sets: List[Optional[List[Optional[CacheLine]]]] = [None] * num_sets
         # line_address -> resident line, in fill order.  A line's way is
         # found by scanning its set (see _locate), which only removals and
         # touches need.
@@ -128,7 +127,7 @@ class CacheArray:
         """Return the number of valid lines in the set that ``address`` maps
         to (useful in tests and for conflict statistics)."""
         ways = self._sets[(address >> self._set_shift) & self._set_mask]
-        return sum(1 for line in ways if line is not None)
+        return 0 if ways is None else sum(1 for line in ways if line is not None)
 
     # -- mutation ---------------------------------------------------------
 
@@ -165,6 +164,8 @@ class CacheArray:
 
         set_index = (line_addr >> self._set_shift) & self._set_mask
         ways = self._sets[set_index]
+        if ways is None:
+            ways = self._sets[set_index] = [None] * self.assoc
         for way, resident in enumerate(ways):
             if resident is None:
                 ways[way] = line
@@ -192,7 +193,10 @@ class CacheArray:
         is not already resident)."""
         if address & self._line_mask in self._lines:
             return False
-        for entry in self._sets[(address >> self._set_shift) & self._set_mask]:
+        ways = self._sets[(address >> self._set_shift) & self._set_mask]
+        if ways is None:
+            return False
+        for entry in ways:
             if entry is None:
                 return False
         return True

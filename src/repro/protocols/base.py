@@ -123,19 +123,19 @@ class PendingTransaction:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
-def compile_dispatch(controller: Any,
-                     handlers: Dict[MessageType, str]) -> List[Optional[Callable]]:
-    """Compile a ``MessageType -> method name`` table into a flat list of
-    bound methods indexed by ``MessageType.index``.
+def compile_dispatch(cls: type) -> tuple:
+    """Compile a controller class's ``message_handlers`` into a flat tuple
+    of plain functions indexed by ``MessageType.index``, each called as
+    ``handler(controller, msg)``.
 
-    Handler names are resolved against ``controller`` at build time, so
-    subclass overrides are honoured; unhandled types stay ``None`` and fail
-    loudly in ``handle_message``.
+    Handler names are resolved against ``cls`` when the class is defined,
+    so subclass overrides are honoured; unhandled types stay ``None`` and
+    fail loudly in ``handle_message``.
     """
     table: List[Optional[Callable]] = [None] * NUM_MESSAGE_TYPES
-    for mtype, name in handlers.items():
-        table[mtype.index] = getattr(controller, name)
-    return table
+    for mtype, name in cls.message_handlers.items():
+        table[mtype.index] = getattr(cls, name)
+    return tuple(table)
 
 
 class BaseL1Controller:
@@ -165,11 +165,17 @@ class BaseL1Controller:
     #: State a line enters when the core writes it.
     modified_state: ClassVar[Any] = None
     #: MessageType -> handler *method name*.  Each protocol declares its
-    #: transition table once at class level; ``__init__`` compiles the names
-    #: into a flat bound-method list indexed by ``MessageType.index`` (so
-    #: subclass overrides are honoured) and ``handle_message`` becomes a
-    #: single list index instead of a dict lookup per delivered message.
+    #: transition table once at class level; every subclass compiles it into
+    #: its own ``_dispatch_table`` when it is defined (see ``compile_dispatch``)
+    #: and ``handle_message`` becomes two tuple indexings instead of a dict
+    #: lookup per delivered message.
     message_handlers: ClassVar[Dict[MessageType, str]] = {}
+    _dispatch_table: ClassVar[tuple] = (None,) * NUM_MESSAGE_TYPES
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch_table = compile_dispatch(cls)
+        cls._build_tables()
 
     def __init__(
         self,
@@ -206,21 +212,21 @@ class BaseL1Controller:
         self._offset_mask = address_map.offset_mask
         self._offset_bits = address_map.offset_bits
         #: Node id of every core's L1, indexed by core id.
-        self.l1_nodes = tuple(topology.all_l1_nodes())
+        self.l1_nodes = topology.l1_nodes
         # Node id of every home tile, indexed by tile id (see home_node).
-        self._home_nodes = tuple(topology.l2_node(tile)
-                                 for tile in range(address_map.num_l2_tiles))
-        self._dispatch = compile_dispatch(self, self.message_handlers)
+        self._home_nodes = topology.l2_nodes
+        # The class's table; an instance attribute loads faster per message.
+        self._dispatch = self._dispatch_table
         # Prebound victim filter for install_line (one closure per controller
         # instead of one per install).
         pending = self._pending
         self._install_victim_filter = lambda cand: cand.address not in pending
-        self._build_tables()
         network.register(self.node_id, self)
 
-    def _build_tables(self) -> None:
-        """Hook for protocols that derive extra per-instance transition
-        tables (e.g. data-response → install-state) at build time."""
+    @classmethod
+    def _build_tables(cls) -> None:
+        """Hook for protocols that derive extra per-class transition tables
+        (e.g. data-response → install-state) when the class is defined."""
 
     # -- messaging ------------------------------------------------------------
 
@@ -230,7 +236,7 @@ class BaseL1Controller:
         if handler is None:
             raise RuntimeError(
                 f"{self.protocol_label} L1[{self.core_id}]: unexpected message {msg!r}")
-        handler(msg)
+        handler(self, msg)
 
     def home_node(self, address: int) -> int:
         """Network node id of the home L2 tile for ``address`` (lines are
@@ -478,10 +484,19 @@ class BaseL2Controller:
     idle_state: ClassVar[Any] = None
     #: MessageType -> handler *method name* (see BaseL1Controller).
     message_handlers: ClassVar[Dict[MessageType, str]] = {}
+    _dispatch_table: ClassVar[tuple] = (None,) * NUM_MESSAGE_TYPES
     #: Message types that must wait while their line is in a transient
     #: (blocked) state — requests and writebacks, but never the acks that
     #: resolve the transient state.
     blocking_types: ClassVar[frozenset] = frozenset()
+    #: ``blocking_types`` as a flat bool tuple indexed by ``MessageType.index``.
+    _blocking_table: ClassVar[tuple] = (False,) * NUM_MESSAGE_TYPES
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch_table = compile_dispatch(cls)
+        cls._blocking_table = tuple(mtype in cls.blocking_types
+                                    for mtype in MessageType)
 
     def __init__(
         self,
@@ -507,15 +522,13 @@ class BaseL2Controller:
         self.node_id = topology.l2_node(tile_id)
         self._line_mask = address_map.line_mask
         #: Node id of every core's L1, indexed by core id.
-        self.l1_nodes = tuple(topology.all_l1_nodes())
+        self.l1_nodes = topology.l1_nodes
         # line address -> queued messages waiting for the line to unblock
         self._blocked: Dict[int, List[Message]] = {}
         # line address -> in-progress recall/eviction bookkeeping
         self._recalls: Dict[int, Dict] = {}
-        self._dispatch = compile_dispatch(self, self.message_handlers)
-        # blocking_types compiled to a flat bool table (MessageType.index).
-        self._blocking = tuple(mtype in self.blocking_types
-                               for mtype in MessageType)
+        self._dispatch = self._dispatch_table
+        self._blocking = self._blocking_table
         # Prebound eviction filter for allocate_line (one closure per tile
         # instead of one per allocation): a blocked or mid-recall line is
         # busy.  Resident lines are keyed by their line address.
@@ -728,4 +741,4 @@ class BaseL2Controller:
         if handler is None:
             raise RuntimeError(
                 f"{self.protocol_label} L2[{self.tile_id}]: unexpected message {msg!r}")
-        handler(msg)
+        handler(self, msg)

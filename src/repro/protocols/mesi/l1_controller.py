@@ -43,19 +43,20 @@ class MESIL1Controller(BaseL1Controller):
         MessageType.PUT_ACK: "_on_put_ack",
     }
 
-    def _build_tables(self) -> None:
+    @classmethod
+    def _build_tables(cls) -> None:
         """Compile the data-response → install-state transition table.
 
-        Built from the instance's state attributes so derived protocols
+        Built from the class's state attributes so derived protocols
         (MSI, MOESI) get their own states without re-deriving the table.
         ``DATA_OWNER`` stays ``None``: its install state depends on the
         pending transaction's kind.
         """
         table = [None] * NUM_MESSAGE_TYPES
-        table[MessageType.DATA_E.index] = self.exclusive_state
-        table[MessageType.DATA_S.index] = self.shared_state
-        table[MessageType.DATA_X.index] = self.modified_state
-        self._data_state = table
+        table[MessageType.DATA_E.index] = cls.exclusive_state
+        table[MessageType.DATA_S.index] = cls.shared_state
+        table[MessageType.DATA_X.index] = cls.modified_state
+        cls._data_state = tuple(table)
 
     # ------------------------------------------------------------------ core ops
 

@@ -233,11 +233,8 @@ class TSOCCL1Controller(BaseL1Controller):
             address=None,
             info={"source": self.core_id, "source_kind": "l1", "epoch": new_epoch},
         )
-        destinations = (
-            [n for n in self.topology.all_l1_nodes() if n != self.node_id]
-            + self.topology.all_l2_nodes()
-        )
-        self.network.broadcast(template, destinations)
+        self.network.broadcast(template, self.l1_nodes + self.topology.l2_nodes,
+                               exclude=self.node_id)
 
     # ------------------------------------------------------------------ self-invalidation
 

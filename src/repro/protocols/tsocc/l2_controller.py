@@ -391,7 +391,7 @@ class TSOCCL2Controller(BaseL2Controller):
             address=None,
             info={"source": self.tile_id, "source_kind": "l2", "epoch": new_epoch},
         )
-        self.network.broadcast(template, self.topology.all_l1_nodes())
+        self.network.broadcast(template, self.l1_nodes)
 
     def _on_ts_reset(self, msg: Message) -> None:
         """A core reset its timestamp source: forget its last-seen timestamp."""

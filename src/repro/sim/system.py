@@ -13,6 +13,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cpu.core_model import CoreContext, CoreModel, capturing_program
@@ -53,6 +54,14 @@ class SimulationResult:
         return self.contexts[core_id].results.get(key, default)
 
 
+@lru_cache(maxsize=None)
+def _mesh_topology(num_cores: int, num_l2_tiles: int, rows: int) -> MeshTopology:
+    """The one topology of a mesh geometry.  It is frozen, so every System
+    of that geometry shares it and its cached tables are computed once."""
+    return MeshTopology(num_cores=num_cores, num_l2_tiles=num_l2_tiles,
+                        rows=rows)
+
+
 class System:
     """A simulated CMP: cores + private L1s + shared NUCA L2 + mesh + memory.
 
@@ -66,14 +75,13 @@ class System:
         self.protocol = protocol
         self.address_map = AddressMap(line_size=config.line_size,
                                       num_l2_tiles=config.effective_l2_tiles)
-        self.topology = MeshTopology(num_cores=config.num_cores,
-                                     num_l2_tiles=config.effective_l2_tiles,
-                                     rows=config.mesh_rows)
+        self.topology = _mesh_topology(config.num_cores,
+                                       config.effective_l2_tiles,
+                                       config.mesh_rows)
         # Size the calendar ring to cover the largest single-event delay the
         # configuration can produce (worst-case network traversal plus tile
         # occupancy, or a memory access); anything longer spills to the heap.
-        max_hops = max((max(row) for row in self.topology.hops_table),
-                       default=0)
+        max_hops = self.topology.max_hops
         data_flits = max(1, -(-(config.header_bytes + config.line_size)
                               // config.flit_bytes))
         net_max = (config.router_latency * (max_hops + 1)

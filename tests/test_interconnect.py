@@ -76,7 +76,7 @@ def test_out_of_range_ids_rejected():
        rows=st.integers(min_value=1, max_value=8))
 def test_all_nodes_have_positions(cores, rows):
     topo = MeshTopology(num_cores=cores, num_l2_tiles=cores, rows=rows)
-    for node in topo.all_l1_nodes() + topo.all_l2_nodes():
+    for node in topo.l1_nodes + topo.l2_nodes:
         row, col = topo.node_position(node)
         assert 0 <= row < topo.rows
         assert 0 <= col < topo.cols
@@ -97,7 +97,7 @@ def make_network(num_cores=4):
     topo = MeshTopology(num_cores=num_cores, num_l2_tiles=num_cores, rows=2)
     net = Network(topology=topo, scheduler=sim)
     sinks = {}
-    for node in topo.all_l1_nodes() + topo.all_l2_nodes():
+    for node in topo.l1_nodes + topo.l2_nodes:
         sinks[node] = Sink()
         net.register(node, sinks[node])
     return sim, topo, net, sinks
@@ -146,7 +146,7 @@ def test_network_broadcast_excludes_sender():
     sim, topo, net, sinks = make_network()
     template = Message(mtype=MessageType.TS_RESET, src=0, dst=0,
                        info={"source": 0, "epoch": 1})
-    count = net.broadcast(template, topo.all_l1_nodes(), exclude=0)
+    count = net.broadcast(template, topo.l1_nodes, exclude=0)
     sim.run()
     assert count == 3
     assert not sinks[0].received

@@ -92,6 +92,10 @@ def test_needs_eviction_and_pick_victim():
     assert not cache.needs_eviction(0x0)
     cache.insert(CacheLine(address=0x0))
     cache.insert(CacheLine(address=0x100))
+    # Set 1 was never filled: it counts as empty.
+    assert not cache.needs_eviction(0x40)
+    assert cache.pick_victim(0x40) is None
+    assert cache.set_occupancy(0x40) == 0
     assert cache.needs_eviction(0x200)
     assert not cache.needs_eviction(0x100)  # already resident
     victim = cache.pick_victim(0x200)

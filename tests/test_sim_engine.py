@@ -1,9 +1,13 @@
 """Tests for the discrete-event engine, system config and statistics."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.sim.config import PAPER_SYSTEM, SystemConfig
 from repro.sim.simulator import Simulator
+from repro.sim.system import build_system
 from repro.sim.stats import CoreStats, L1Stats, L2Stats, SystemStats
 
 
@@ -90,6 +94,51 @@ def test_schedule_call_passes_args_without_closure():
     sim.schedule_call(1, seen.append, "y")
     sim.run()
     assert seen == ["y", "x"]
+
+
+# ---------------------------------------------------------------------- set-up
+
+#: The platform the litmus runner builds (2 cores, 2 KB L1, 16 KB L2 tiles).
+LITMUS_PLATFORM = SystemConfig().scaled(num_cores=2, l1_size_bytes=2048,
+                                        l2_tile_size_bytes=16 * 1024, seed=1)
+
+
+def objects_created_by_build(config, protocol):
+    """GC-tracked objects one ``build_system`` call leaves alive, counted
+    with the cyclic GC off (after one untimed build, so the per-class and
+    per-geometry tables already exist)."""
+    build_system(config, protocol)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        system = build_system(config, protocol)
+        created = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert system.sim.pending_events == 0
+    return created
+
+
+@pytest.mark.parametrize("config, protocol, ceiling, ceiling_310", [
+    # Measured 82 on 3.11/3.12 and 102 on 3.10 (before first-use buckets,
+    # cache sets and per-class tables: 450 and 470).
+    (LITMUS_PLATFORM, "MESI", 100, 125),
+    # Measured 104 and 136 (before: 474 and 506).
+    (LITMUS_PLATFORM, "TSO-CC-4-12-3", 125, 160),
+    # Measured 256 and 324 (before: 1,396 and 1,464).
+    (SystemConfig().scaled(num_cores=8, seed=1), "MESI", 300, 380),
+])
+def test_build_system_allocation_budget(config, protocol, ceiling, ceiling_310):
+    """A System allocates nothing a short run may never touch: calendar
+    buckets and cache sets come with their first use, dispatch tables are
+    compiled per class and the topology is shared per geometry.  Every
+    System is a reference cycle, so the cyclic GC traverses each object it
+    allocates.  Python 3.10 also tracks every instance ``__dict__``."""
+    limit = ceiling_310 if sys.version_info < (3, 11) else ceiling
+    assert objects_created_by_build(config, protocol) <= limit
 
 
 # ---------------------------------------------------------------------- config
