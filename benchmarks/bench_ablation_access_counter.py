@@ -13,10 +13,10 @@ from bench_utils import write_result
 
 
 def test_ablation_access_counter(benchmark, results_dir, run_sweep):
-    result = benchmark.pedantic(lambda: run_sweep("access-counter"),
-                                rounds=1, iterations=1)
-    write_result(results_dir, "ablation_access_counter.txt", result.tabulate())
-    by = result.by_protocol()
+    table = benchmark.pedantic(lambda: run_sweep("access-counter"),
+                               rounds=1, iterations=1)
+    write_result(results_dir, "ablation_access_counter.txt", table.render())
+    by = {row["protocol"]: row for row in table.rows}
     # Allowing bounded Shared hits must reduce traffic versus no hits at all
     # (the paper's CC-shared-to-L2 versus TSO-CC-4-basic comparison).
     assert by["TSO-CC-4-12-3"]["flits"] < by["TSO-CC-0-12-3"]["flits"]

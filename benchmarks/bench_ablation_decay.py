@@ -12,10 +12,10 @@ from bench_utils import write_result
 
 
 def test_ablation_decay_threshold(benchmark, results_dir, run_sweep):
-    result = benchmark.pedantic(lambda: run_sweep("decay"),
-                                rounds=1, iterations=1)
-    write_result(results_dir, "ablation_decay.txt", result.tabulate())
-    by = result.by_protocol()
+    table = benchmark.pedantic(lambda: run_sweep("decay"),
+                               rounds=1, iterations=1)
+    write_result(results_dir, "ablation_decay.txt", table.render())
+    by = {row["protocol"]: row for row in table.rows}
     # A more aggressive threshold can only decay at least as many lines.
     assert by["TSO-CC-4-12-3-decay32"]["shared_decays"] >= \
         by["TSO-CC-4-12-3"]["shared_decays"]

@@ -18,12 +18,13 @@ from bench_utils import write_result
 
 
 def test_ablation_shared_ro(benchmark, results_dir, run_sweep):
-    result = benchmark.pedantic(lambda: run_sweep("shared-ro"),
-                                rounds=1, iterations=1)
-    with_sro = result.by_protocol()["TSO-CC-4-12-3"]
-    no_sro = result.by_protocol()["TSO-CC-4-12-3-noSRO"]
+    table = benchmark.pedantic(lambda: run_sweep("shared-ro"),
+                               rounds=1, iterations=1)
+    by = {row["protocol"]: row for row in table.rows}
+    with_sro = by["TSO-CC-4-12-3"]
+    no_sro = by["TSO-CC-4-12-3-noSRO"]
     report = (
-        result.tabulate() + "\n"
+        table.render() + "\n"
         f"traffic increase without SRO: {no_sro['flits'] / with_sro['flits']:.2f}x\n"
         f"slowdown without SRO:         {no_sro['cycles'] / with_sro['cycles']:.2f}x"
     )

@@ -15,10 +15,10 @@ from bench_utils import write_result
 
 
 def test_ablation_timestamp_bits(benchmark, results_dir, run_sweep):
-    result = benchmark.pedantic(lambda: run_sweep("timestamp-bits"),
-                                rounds=1, iterations=1)
-    write_result(results_dir, "ablation_timestamp_bits.txt", result.tabulate())
-    by = result.by_protocol()
+    table = benchmark.pedantic(lambda: run_sweep("timestamp-bits"),
+                               rounds=1, iterations=1)
+    write_result(results_dir, "ablation_timestamp_bits.txt", table.render())
+    by = {row["protocol"]: row for row in table.rows}
     # Unbounded timestamps never reset; narrow timestamps reset more often
     # than wide ones (8x in the paper for 9 vs 12 bits at equal grouping).
     assert by["TSO-CC-4-noreset"]["ts_resets"] == 0

@@ -5,29 +5,24 @@ slowdown), TSO-CC-4-basic is slightly slower than MESI, and the timestamped
 configurations are comparable to MESI on average.
 """
 
-from repro.analysis.metrics import gmean
-from repro.analysis.tables import format_series_table
-
 from bench_utils import write_result
 
 
-def test_figure3_execution_time(benchmark, bench_runner, results_dir):
-    figure = benchmark.pedantic(bench_runner.figure3_execution_time,
+def test_figure3_execution_time(benchmark, bench_report, results_dir):
+    series = benchmark.pedantic(bench_report.figure, args=(3,),
                                 rounds=1, iterations=1)
-    table = format_series_table(figure.series, row_order=figure.row_order,
-                                title=f"{figure.figure} — {figure.description}")
-    write_result(results_dir, "figure3_execution_time.txt", table)
+    write_result(results_dir, "figure3_execution_time.txt",
+                 bench_report.figure_table(3))
 
-    baseline = bench_runner.baseline
     # Shape assertions: the baseline normalizes to exactly 1.0 everywhere,
     # and the best realistic configuration (TSO-CC-4-12-3) is no worse than
     # both the strawman and the basic protocol on average.
-    assert all(abs(v - 1.0) < 1e-9 for k, v in figure.series[baseline].items()
+    assert all(abs(v - 1.0) < 1e-9 for k, v in series["MESI"].items()
                if k != "gmean")
-    if "TSO-CC-4-12-3" in figure.series and "CC-shared-to-L2" in figure.series:
-        best = figure.series["TSO-CC-4-12-3"]["gmean"]
-        strawman = figure.series["CC-shared-to-L2"]["gmean"]
+    if "TSO-CC-4-12-3" in series and "CC-shared-to-L2" in series:
+        best = series["TSO-CC-4-12-3"]["gmean"]
+        strawman = series["CC-shared-to-L2"]["gmean"]
         assert best <= strawman * 1.02
-    if "TSO-CC-4-12-3" in figure.series and "TSO-CC-4-basic" in figure.series:
-        assert figure.series["TSO-CC-4-12-3"]["gmean"] <= \
-            figure.series["TSO-CC-4-basic"]["gmean"] * 1.02
+    if "TSO-CC-4-12-3" in series and "TSO-CC-4-basic" in series:
+        assert series["TSO-CC-4-12-3"]["gmean"] <= \
+            series["TSO-CC-4-basic"]["gmean"] * 1.02

@@ -5,22 +5,19 @@ Expected shape (paper): CC-shared-to-L2 blows traffic up massively (average
 the timestamped configurations are close to MESI.
 """
 
-from repro.analysis.tables import format_series_table
-
 from bench_utils import write_result
 
 
-def test_figure4_network_traffic(benchmark, bench_runner, results_dir):
-    figure = benchmark.pedantic(bench_runner.figure4_network_traffic,
+def test_figure4_network_traffic(benchmark, bench_report, results_dir):
+    series = benchmark.pedantic(bench_report.figure, args=(4,),
                                 rounds=1, iterations=1)
-    table = format_series_table(figure.series, row_order=figure.row_order,
-                                title=f"{figure.figure} — {figure.description}")
-    write_result(results_dir, "figure4_network_traffic.txt", table)
+    write_result(results_dir, "figure4_network_traffic.txt",
+                 bench_report.figure_table(4))
 
-    if "TSO-CC-4-12-3" in figure.series and "CC-shared-to-L2" in figure.series:
+    if "TSO-CC-4-12-3" in series and "CC-shared-to-L2" in series:
         # The strawman must generate more traffic than the full protocol.
-        assert figure.series["CC-shared-to-L2"]["gmean"] > \
-            figure.series["TSO-CC-4-12-3"]["gmean"]
-    if "TSO-CC-4-12-3" in figure.series and "TSO-CC-4-basic" in figure.series:
-        assert figure.series["TSO-CC-4-12-3"]["gmean"] <= \
-            figure.series["TSO-CC-4-basic"]["gmean"] * 1.05
+        assert series["CC-shared-to-L2"]["gmean"] > \
+            series["TSO-CC-4-12-3"]["gmean"]
+    if "TSO-CC-4-12-3" in series and "TSO-CC-4-basic" in series:
+        assert series["TSO-CC-4-12-3"]["gmean"] <= \
+            series["TSO-CC-4-basic"]["gmean"] * 1.05

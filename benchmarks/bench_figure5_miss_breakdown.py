@@ -5,31 +5,27 @@ Shared and SharedRO states; the strawman and the basic protocol shift a
 large fraction of misses into the Shared category (forced re-requests).
 """
 
-from repro.analysis.tables import format_series_table
-
 from bench_utils import write_result
 
 
-def test_figure5_miss_breakdown(benchmark, bench_runner, results_dir):
-    figure = benchmark.pedantic(bench_runner.figure5_miss_breakdown,
+def test_figure5_miss_breakdown(benchmark, bench_report, results_dir):
+    series = benchmark.pedantic(bench_report.figure, args=(5,),
                                 rounds=1, iterations=1)
-    table = format_series_table(figure.series, row_order=figure.row_order,
-                                title=f"{figure.figure} — {figure.description}",
-                                float_format="{:.2f}")
-    write_result(results_dir, "figure5_miss_breakdown.txt", table)
+    write_result(results_dir, "figure5_miss_breakdown.txt",
+                 bench_report.figure_table(5))
 
-    protocols = bench_runner.protocols
-    workload = bench_runner.workloads[0]
+    protocols = bench_report.protocols
+    workload = bench_report.workloads[0]
     # Shared-state misses exist only for the TSO-CC family (MESI re-reads
     # shared lines freely), and CC-shared-to-L2 must have at least as many
     # shared read misses as the configurations that allow bounded hits.
     if "MESI" in protocols:
-        assert figure.series.get("MESI:read_miss_shared", {}).get(workload, 0.0) == 0.0
+        assert series.get("MESI:read_miss_shared", {}).get(workload, 0.0) == 0.0
     if "CC-shared-to-L2" in protocols and "TSO-CC-4-12-3" in protocols:
         total_strawman = sum(
-            figure.series[f"CC-shared-to-L2:read_miss_{cat}"].get(workload, 0.0)
+            series[f"CC-shared-to-L2:read_miss_{cat}"].get(workload, 0.0)
             for cat in ("invalid", "shared", "shared_ro"))
         total_full = sum(
-            figure.series[f"TSO-CC-4-12-3:read_miss_{cat}"].get(workload, 0.0)
+            series[f"TSO-CC-4-12-3:read_miss_{cat}"].get(workload, 0.0)
             for cat in ("invalid", "shared", "shared_ro"))
         assert total_strawman >= total_full * 0.95

@@ -6,24 +6,20 @@ substantial fraction of read hits comes from SharedRO lines (the §3.4
 optimization), while CC-shared-to-L2 converts shared read hits into misses.
 """
 
-from repro.analysis.tables import format_series_table
-
 from bench_utils import write_result
 
 
-def test_figure6_hit_breakdown(benchmark, bench_runner, results_dir):
-    figure = benchmark.pedantic(bench_runner.figure6_hit_breakdown,
+def test_figure6_hit_breakdown(benchmark, bench_report, results_dir):
+    series = benchmark.pedantic(bench_report.figure, args=(6,),
                                 rounds=1, iterations=1)
-    table = format_series_table(figure.series, row_order=figure.row_order,
-                                title=f"{figure.figure} — {figure.description}",
-                                float_format="{:.2f}")
-    write_result(results_dir, "figure6_hit_breakdown.txt", table)
+    write_result(results_dir, "figure6_hit_breakdown.txt",
+                 bench_report.figure_table(6))
 
     # Every (protocol, workload) column must roughly sum to 100% of accesses.
-    for protocol in bench_runner.protocols:
-        for workload in bench_runner.workloads:
+    for protocol in bench_report.protocols:
+        for workload in bench_report.workloads:
             components = [
-                figure.series.get(f"{protocol}:{part}", {}).get(workload, 0.0)
+                series.get(f"{protocol}:{part}", {}).get(workload, 0.0)
                 for part in ("read_miss", "write_miss", "read_hit_shared",
                              "read_hit_shared_ro", "read_hit_private",
                              "write_hit_private")

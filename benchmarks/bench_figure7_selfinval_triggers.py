@@ -7,8 +7,6 @@ timestamped configurations sit in between, with the invalid-timestamp
 category shrinking and the potential-acquire categories remaining.
 """
 
-from repro.analysis.tables import format_series_table
-
 from bench_utils import write_result
 
 
@@ -24,22 +22,20 @@ def _total_trigger_rate(series, protocol, workloads):
     return total / count if count else 0.0
 
 
-def test_figure7_selfinval_triggers(benchmark, bench_runner, results_dir):
-    figure = benchmark.pedantic(bench_runner.figure7_selfinval_triggers,
+def test_figure7_selfinval_triggers(benchmark, bench_report, results_dir):
+    series = benchmark.pedantic(bench_report.figure, args=(7,),
                                 rounds=1, iterations=1)
-    table = format_series_table(figure.series, row_order=figure.row_order,
-                                title=f"{figure.figure} — {figure.description}",
-                                float_format="{:.2f}")
-    write_result(results_dir, "figure7_selfinval_triggers.txt", table)
+    write_result(results_dir, "figure7_selfinval_triggers.txt",
+                 bench_report.figure_table(7))
 
-    protocols = bench_runner.protocols
-    workloads = bench_runner.workloads
+    protocols = bench_report.protocols
+    workloads = bench_report.workloads
     if "TSO-CC-4-basic" in protocols and "TSO-CC-4-noreset" in protocols:
-        basic = _total_trigger_rate(figure.series, "TSO-CC-4-basic", workloads)
-        noreset = _total_trigger_rate(figure.series, "TSO-CC-4-noreset", workloads)
+        basic = _total_trigger_rate(series, "TSO-CC-4-basic", workloads)
+        noreset = _total_trigger_rate(series, "TSO-CC-4-noreset", workloads)
         # Transitive reduction must substantially reduce self-invalidations.
         assert noreset < basic
     if "TSO-CC-4-12-3" in protocols and "TSO-CC-4-basic" in protocols:
-        full = _total_trigger_rate(figure.series, "TSO-CC-4-12-3", workloads)
-        basic = _total_trigger_rate(figure.series, "TSO-CC-4-basic", workloads)
+        full = _total_trigger_rate(series, "TSO-CC-4-12-3", workloads)
+        basic = _total_trigger_rate(series, "TSO-CC-4-basic", workloads)
         assert full <= basic

@@ -5,22 +5,18 @@ fan-out, which shows up as lower normalized RMW latency for write-shared
 workloads (radix and the STAMP applications).
 """
 
-from repro.analysis.tables import format_series_table
-
 from bench_utils import write_result
 
 
-def test_figure8_rmw_latency(benchmark, bench_runner, results_dir):
-    figure = benchmark.pedantic(bench_runner.figure8_rmw_latency,
+def test_figure8_rmw_latency(benchmark, bench_report, results_dir):
+    series = benchmark.pedantic(bench_report.figure, args=(8,),
                                 rounds=1, iterations=1)
-    table = format_series_table(figure.series, row_order=figure.row_order,
-                                title=f"{figure.figure} — {figure.description}")
-    write_result(results_dir, "figure8_rmw_latency.txt", table)
+    write_result(results_dir, "figure8_rmw_latency.txt",
+                 bench_report.figure_table(8))
 
-    baseline = bench_runner.baseline
-    assert all(abs(v - 1.0) < 1e-9 for k, v in figure.series[baseline].items()
+    assert all(abs(v - 1.0) < 1e-9 for k, v in series["MESI"].items()
                if k != "gmean")
     # RMW latencies must be finite and positive for every configuration.
-    for protocol, per_workload in figure.series.items():
+    for protocol, per_workload in series.items():
         for workload, value in per_workload.items():
             assert value > 0.0, (protocol, workload)

@@ -6,25 +6,21 @@ timestamps everything is an invalid-timestamp event; with them the
 potential-acquire categories dominate.
 """
 
-from repro.analysis.tables import format_series_table
-
 from bench_utils import write_result
 
 
-def test_figure9_selfinval_causes(benchmark, bench_runner, results_dir):
-    figure = benchmark.pedantic(bench_runner.figure9_selfinval_causes,
+def test_figure9_selfinval_causes(benchmark, bench_report, results_dir):
+    series = benchmark.pedantic(bench_report.figure, args=(9,),
                                 rounds=1, iterations=1)
-    table = format_series_table(figure.series, row_order=figure.row_order,
-                                title=f"{figure.figure} — {figure.description}",
-                                float_format="{:.2f}")
-    write_result(results_dir, "figure9_selfinval_causes.txt", table)
+    write_result(results_dir, "figure9_selfinval_causes.txt",
+                 bench_report.figure_table(9))
 
-    workloads = bench_runner.workloads
+    workloads = bench_report.workloads
     # Cause fractions sum to ~100% wherever any self-invalidation occurred.
-    protocols = [p for p in bench_runner.protocols if p != bench_runner.baseline]
+    protocols = [p for p in bench_report.protocols if p != "MESI"]
     for protocol in protocols:
         for workload in workloads:
-            parts = [figure.series.get(f"{protocol}:{cause}", {}).get(workload, 0.0)
+            parts = [series.get(f"{protocol}:{cause}", {}).get(workload, 0.0)
                      for cause in ("invalid_ts", "acquire", "acquire_sro", "fence")]
             total = sum(parts)
             assert total == 0.0 or abs(total - 100.0) < 1.0, (protocol, workload, total)
@@ -32,4 +28,4 @@ def test_figure9_selfinval_causes(benchmark, bench_runner, results_dir):
     # on a non-SharedRO line.
     if "TSO-CC-4-basic" in protocols:
         for workload in workloads:
-            assert figure.series.get("TSO-CC-4-basic:acquire", {}).get(workload, 0.0) == 0.0
+            assert series.get("TSO-CC-4-basic:acquire", {}).get(workload, 0.0) == 0.0

@@ -1,11 +1,12 @@
 """Shared fixtures for the figure/table regeneration benchmarks.
 
-The benchmarks are organised one file per table/figure of the paper.  They
-share a single :class:`~repro.analysis.experiments.ExperimentRunner` (the
-full workload x protocol matrix is simulated once per pytest session and
-cached), and every benchmark writes the regenerated table to
-``benchmarks/results/`` so the numbers can be inspected and compared against
-the paper (see EXPERIMENTS.md).
+The benchmarks are organised one file per table/figure of the paper.  The
+figure files share one session-wide
+:class:`~repro.analysis.report.SpecReport` over the paper's evaluation
+matrix (:func:`~repro.analysis.sweeps.figure_spec`, simulated once per
+pytest session), read its Figures 3–9 views and write the text ``repro
+figure N`` prints to ``benchmarks/results/``, so the numbers can be
+inspected and compared against the paper (see EXPERIMENTS.md).
 
 Independent matrix cells are fanned out over worker processes and persisted
 in the content-addressed result cache under ``benchmarks/results/cache/``,
@@ -18,6 +19,7 @@ Environment knobs (all optional):
 * ``REPRO_BENCH_SCALE``     — workload scale factor (default 0.35)
 * ``REPRO_BENCH_WORKLOADS`` — comma-separated subset of Table 3 names
 * ``REPRO_BENCH_PROTOCOLS`` — comma-separated subset of configuration names
+  (the normalized Figures 3, 4 and 8 need MESI among them)
 * ``REPRO_BENCH_JOBS``      — worker processes for the matrix fan-out
   (default: ``REPRO_JOBS`` or the CPU count)
 * ``REPRO_BENCH_CACHE``     — set to ``0`` to bypass the on-disk result cache
@@ -33,9 +35,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.parallel import ResultCache
-from repro.sim.config import SystemConfig
+from repro.analysis.report import SpecReport
+from repro.analysis.sweeps import figure_spec
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -58,21 +60,17 @@ def _executor_knobs():
 
 
 @pytest.fixture(scope="session")
-def bench_runner() -> ExperimentRunner:
-    """Session-cached experiment runner for the full evaluation matrix."""
-    num_cores = int(os.environ.get("REPRO_BENCH_CORES", "8"))
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
-    jobs, cache, backend = _executor_knobs()
-    runner = ExperimentRunner(
-        system_config=SystemConfig().scaled(num_cores=num_cores),
+def bench_report() -> SpecReport:
+    """Session-wide report over the full evaluation matrix, the one
+    ``repro figure`` renders."""
+    spec = figure_spec(
         protocols=_env_list("REPRO_BENCH_PROTOCOLS"),
         workloads=_env_list("REPRO_BENCH_WORKLOADS"),
-        scale=scale,
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
+        cores=int(os.environ.get("REPRO_BENCH_CORES", "8")),
+        scale=float(os.environ.get("REPRO_BENCH_SCALE", "0.35")),
     )
-    return runner
+    jobs, cache, backend = _executor_knobs()
+    return spec.run(jobs=jobs, cache=cache, backend=backend).report()
 
 
 @pytest.fixture(scope="session")
@@ -85,7 +83,8 @@ def results_dir() -> Path:
 @pytest.fixture(scope="session")
 def run_sweep():
     """Run a registered sensitivity sweep with the session's executor knobs
-    (``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_CACHE``) applied.
+    (``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_CACHE``) applied and return its
+    mix table: one row per variant, metrics summed over the workload mix.
 
     The ablation benchmarks are thin declarations over
     :mod:`repro.analysis.sweeps`; this fixture is their only execution
@@ -95,6 +94,7 @@ def run_sweep():
     jobs, cache, backend = _executor_knobs()
 
     def _run(name: str):
-        return get_sweep(name).run(jobs=jobs, cache=cache, backend=backend)
+        result = get_sweep(name).run(jobs=jobs, cache=cache, backend=backend)
+        return result.report().mix_table(normalized=False)
 
     return _run

@@ -23,9 +23,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.analysis import ExperimentRunner, ResultCache, format_series_table
+from repro.analysis import ResultCache
 from repro.analysis.parallel import DEFAULT_CACHE_DIR
-from repro.sim.config import SystemConfig
+from repro.analysis.sweeps import figure_spec
 
 
 def main() -> None:
@@ -38,27 +38,18 @@ def main() -> None:
                         help="ignore and do not update the on-disk result cache")
     args = parser.parse_args()
 
-    runner = ExperimentRunner(
-        system_config=SystemConfig().scaled(num_cores=8),
-        workloads=args.workloads,
-        scale=0.4,
-        jobs=args.jobs,
-        cache=ResultCache(DEFAULT_CACHE_DIR, enabled=not args.no_cache),
-    )
-    runner.run_all()
-
-    fig3 = runner.figure3_execution_time()
-    print(format_series_table(fig3.series, row_order=fig3.row_order,
-                              title="Execution time normalized to MESI (Figure 3 subset)"))
+    spec = figure_spec(workloads=args.workloads, cores=8, scale=0.4)
+    result = spec.run(jobs=args.jobs,
+                      cache=ResultCache(DEFAULT_CACHE_DIR,
+                                        enabled=not args.no_cache))
+    report = result.report()
+    print(report.figure_table(3))
     print()
-    fig4 = runner.figure4_network_traffic()
-    print(format_series_table(fig4.series, row_order=fig4.row_order,
-                              title="Network traffic normalized to MESI (Figure 4 subset)"))
-    executed = runner.executor.simulations_run
-    total = len(runner.protocols) * len(runner.workloads)
+    print(report.figure_table(4))
+    executed = result.simulations_run
+    total = spec.num_cells
     print(f"\n[{executed} of {total} cells simulated, "
           f"{total - executed} served from cache]")
-
 
 if __name__ == "__main__":
     main()

@@ -7,8 +7,9 @@ for core counts up to 128 with the paper's cache geometry (1MB of L2 per
 core, 64B lines, 32KB L1 per core), and prints the Figure 2 series together
 with the headline reduction percentages quoted in §4.2.
 
-The series is produced by the same :class:`ExperimentRunner` that backs the
-figure benchmarks (Figure 2 is analytic — no simulation, so no ``--jobs``).
+The series comes from ``StorageModel.figure2_series``, the same call behind
+``repro figure 2`` and the Figure 2 benchmark (Figure 2 is analytic — no
+simulation, so no ``--jobs``).
 
 Run with::
 
@@ -22,8 +23,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.analysis import ExperimentRunner, format_series_table
-from repro.protocols.tsocc.config import CC_SHARED_TO_L2, TSO_CC_4_12_3, TSO_CC_4_BASIC
+from repro.analysis import format_series_table
+from repro.analysis.report import FIGURE2_TITLE
+from repro.protocols.tsocc.config import (CC_SHARED_TO_L2, PAPER_TSOCC_CONFIGS,
+                                          TSO_CC_4_12_3, TSO_CC_4_BASIC)
 from repro.protocols.storage import StorageModel
 from repro.sim.config import SystemConfig
 
@@ -35,12 +38,9 @@ def main() -> None:
     args = parser.parse_args()
     core_counts = tuple(int(c) for c in args.cores.split(",") if c.strip())
 
-    figure = ExperimentRunner().figure2_storage(core_counts=core_counts)
-    print(format_series_table(figure.series, row_order=figure.row_order,
-                              title=f"{figure.figure} — {figure.description}",
-                              row_label="cores"))
-
     model = StorageModel(SystemConfig())
+    series = model.figure2_series(PAPER_TSOCC_CONFIGS, core_counts=core_counts)
+    print(format_series_table(series, title=FIGURE2_TITLE, row_label="cores"))
     print("\nHeadline reductions vs MESI (paper §4.2 in parentheses):")
     for config, cores_at, paper in ((TSO_CC_4_12_3, 32, "38%"),
                                     (TSO_CC_4_12_3, 128, "82%"),

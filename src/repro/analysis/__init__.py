@@ -1,23 +1,19 @@
 """Analysis and experiment harness.
 
-* :mod:`repro.analysis.metrics` — geometric/arithmetic means, normalization
-  against the MESI baseline.
-* :mod:`repro.analysis.experiments` — :class:`ExperimentRunner`: runs
-  (workload x protocol) matrices and produces the per-figure data series of
-  the paper's evaluation (Figures 3-9), plus the storage series of Figure 2.
 * :mod:`repro.analysis.parallel` — :class:`MatrixExecutor` (process-pool
   fan-out of matrix cells) and :class:`ResultCache` (content-addressed
   on-disk result cache); see EXPERIMENTS.md.
-* :mod:`repro.analysis.tables` — plain-text table rendering used by the
-  benchmark harness and the examples.
-* :mod:`repro.analysis.report` — declarative reporting over the result
-  cache: :class:`SpecReport` speedup/geomean tables, HTML dashboards and
-  cache-snapshot diffing (``repro report``); see EXPERIMENTS.md
-  "Reporting & dashboards".
+* :mod:`repro.analysis.sweeps` — :class:`~repro.analysis.sweeps.SweepSpec`:
+  declared (protocol x workload x cores x scale) matrices, run through the
+  executor.  ``figure_spec`` is the matrix behind the paper's Figures 3-9.
+* :mod:`repro.analysis.report` — declarative reporting over sweep results
+  and the result cache: :class:`SpecReport` renders every table (the
+  paper's Figures 3-9 as declared views, speedup/geomean mix tables,
+  per-cell tables), plus HTML dashboards and cache-snapshot diffing
+  (``repro report``); see EXPERIMENTS.md "Reporting & dashboards".
+* :mod:`repro.analysis.tables` — plain-text table rendering.
 """
 
-from repro.analysis.experiments import ExperimentRunner, FigureData
-from repro.analysis.metrics import amean, gmean, normalize_to_baseline
 from repro.analysis.parallel import (MatrixExecutor, ResultCache,
                                      WorkloadValidationError, resolve_jobs)
 from repro.analysis.report import (ReportTable, SpecReport, diff_snapshots,
@@ -25,15 +21,10 @@ from repro.analysis.report import (ReportTable, SpecReport, diff_snapshots,
 from repro.analysis.tables import format_series_table, format_table
 
 __all__ = [
-    "ExperimentRunner",
-    "FigureData",
     "MatrixExecutor",
     "ResultCache",
     "WorkloadValidationError",
     "resolve_jobs",
-    "gmean",
-    "amean",
-    "normalize_to_baseline",
     "format_table",
     "format_series_table",
     "ReportTable",

@@ -3,7 +3,8 @@
 The paper's evaluation is a full workload x protocol-configuration matrix
 whose cells are completely independent simulations, i.e. embarrassingly
 parallel.  This module provides the execution subsystem underneath
-:class:`~repro.analysis.experiments.ExperimentRunner`:
+:meth:`~repro.analysis.sweeps.SweepSpec.run` (``repro figure``/``sweep``,
+``benchmarks/``) and ``repro run``:
 
 * :func:`simulate_cell` — runs ONE (workload, protocol) cell from picklable
   inputs (a :class:`~repro.sim.config.SystemConfig` plus names/scalars) and
@@ -37,8 +38,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION, SystemStats
@@ -578,22 +579,6 @@ class MatrixExecutor:
 
     # ------------------------------------------------------------------ running
 
-    def run_cell(self, workload_name: str, protocol: str) -> SystemStats:
-        """Run (or fetch from cache) a single cell.
-
-        Raises:
-            KeyError: if the backend declined the cell (a shard backend
-                only executes its own shard).
-        """
-        results = self.run_cells([(protocol, workload_name)])
-        try:
-            return results[(protocol, workload_name)]
-        except KeyError:
-            raise KeyError(
-                f"cell ({protocol!r}, {workload_name!r}) was not executed "
-                f"by the {self.backend.name!r} backend (sharded run?)"
-            ) from None
-
     def run_cells(
         self, cells: Sequence[Tuple[str, str]]
     ) -> Dict[Tuple[str, str], SystemStats]:
@@ -632,29 +617,3 @@ class MatrixExecutor:
             if self.cache is not None:
                 self.cache.flush_index()
         return results
-
-    def run_matrix(
-        self, protocols: Iterable[str], workloads: Iterable[str]
-    ) -> Dict[str, Dict[str, SystemStats]]:
-        """Run the full cross product and return ``{protocol: {workload: stats}}``.
-
-        Raises:
-            KeyError: if the backend declined any cell — a full matrix
-                cannot be assembled from a sharded run.
-        """
-        protocols = list(protocols)
-        workloads = list(workloads)
-        flat = self.run_cells([(p, w) for p in protocols for w in workloads])
-        matrix: Dict[str, Dict[str, SystemStats]] = {}
-        for protocol in protocols:
-            matrix[protocol] = {}
-            for workload_name in workloads:
-                try:
-                    matrix[protocol][workload_name] = flat[(protocol, workload_name)]
-                except KeyError:
-                    raise KeyError(
-                        f"cell ({protocol!r}, {workload_name!r}) was not "
-                        f"executed by the {self.backend.name!r} backend "
-                        f"(sharded run?); run_matrix needs every cell"
-                    ) from None
-        return matrix

@@ -18,9 +18,10 @@ Three public surfaces (all behind the ``repro report`` CLI family):
 * :class:`SpecReport` — aggregate one spec's cells (from the cache *or* an
   in-memory :class:`~repro.analysis.sweeps.SweepResult`) into mix tables
   with ``<field>_speedup`` columns vs the spec's baseline variant, geomean
-  rows, and per-axis figure pivots.  ``repro sweep --figure`` and
-  ``repro report sweep`` share this code path, so cache-side reports
-  reproduce live sweep tables exactly.
+  rows, per-axis figure pivots and the paper's Figures 3–9
+  (:data:`FIGURES`).  ``repro figure``, ``repro sweep``, ``repro shard
+  run``, ``repro report`` and ``benchmarks/`` all render through it, so
+  cache-side reports reproduce live tables exactly.
 * :func:`gather_cells` — filter every cached cell (any kind) into a
   :class:`ReportTable` for ad-hoc cross-run analysis.
 * :func:`diff_snapshots` — classify two cache trees cell-by-cell into
@@ -46,6 +47,7 @@ from repro.analysis.cache_index import indexed_kinds, iter_entry_files
 from repro.analysis.parallel import (CellKind, ReportField, ResultCache,
                                      get_cell_kind, payload_is_current,
                                      report_fields)
+from repro.analysis.tables import format_series_table, format_table
 
 #: Rendering of a missing value (baseline in another shard, cell not yet
 #: simulated, undefined geomean) in terminal/CSV output.
@@ -132,8 +134,6 @@ class ReportTable:
 
     def render(self) -> str:
         """Aligned plain-text table (the ``repro report`` terminal view)."""
-        from repro.analysis.tables import format_table
-
         rendered = [{col: self._format_cell(col, row.get(col))
                      for col in self.columns} for row in self.rows]
         return format_table(rendered, columns=self.columns, title=self.title)
@@ -233,6 +233,90 @@ def _ordered_unique(values: Iterable) -> List:
     return out
 
 
+# ------------------------------------------------------------ paper figures
+
+#: The protocol normalized figures divide by.  The figures keep the paper's
+#: orientation, value over MESI; ``mix_table``'s speedup columns put the
+#: baseline on top instead.
+FIGURE_BASELINE = "MESI"
+
+
+def _scalar(metric: Callable[[object], float]
+            ) -> Callable[[object], Dict[str, float]]:
+    """Extractor of a figure with one column per protocol."""
+    return lambda stats: {"": float(metric(stats))}
+
+
+def _percent(breakdown: str) -> Callable[[object], Dict[str, float]]:
+    """Extractor of a figure with one ``protocol:component`` column per
+    component of a ``SystemStats`` fraction breakdown, in percent."""
+    return lambda stats: {component: 100.0 * value for component, value
+                          in getattr(stats, breakdown)().items()}
+
+
+@dataclass(frozen=True)
+class FigureView:
+    """One of the paper's Figures 3–9, declared as a view over stats cells.
+
+    Attributes:
+        number: the figure's number in the paper.
+        description: what it plots (its title after the number).
+        extract: ``SystemStats`` -> ``{component: value}``.  Each component
+            becomes the column ``protocol:component``; the empty component
+            becomes the column ``protocol``.
+        normalized: divide every value by the :data:`FIGURE_BASELINE` value
+            of its workload (skipping a zero baseline) and add a ``gmean``
+            row per column.
+        self_invalidating_only: keep only protocols that self-invalidate.
+    """
+
+    number: int
+    description: str
+    extract: Callable[[object], Dict[str, float]]
+    normalized: bool = False
+    self_invalidating_only: bool = False
+
+    @property
+    def title(self) -> str:
+        return f"Figure {self.number} — {self.description}"
+
+    def check(self, protocols: Sequence[str]) -> None:
+        """Raise ``ValueError`` if the figure is normalized and
+        ``protocols`` lack its baseline."""
+        if self.normalized and FIGURE_BASELINE not in protocols:
+            raise ValueError(
+                f"Figure {self.number} is normalized to {FIGURE_BASELINE}, "
+                f"which the protocols ({', '.join(protocols)}) omit")
+
+
+#: The paper's Figures 3–9 by number.  Figure 2 is analytic (the storage
+#: model over core counts, ``StorageModel.figure2_series``), not a view.
+FIGURES: Dict[int, FigureView] = {view.number: view for view in (
+    FigureView(3, "execution time normalized to MESI",
+               _scalar(lambda s: s.cycles), normalized=True),
+    FigureView(4, "network traffic (total flits) normalized to MESI",
+               _scalar(lambda s: s.total_flits), normalized=True),
+    FigureView(5, "L1 miss breakdown (percent of accesses) by state",
+               _percent("miss_breakdown")),
+    FigureView(6, "L1 hit/miss breakdown (percent of accesses)",
+               _percent("hit_breakdown")),
+    FigureView(7, "% of L1 data responses triggering self-invalidation",
+               _percent("self_invalidation_trigger_fraction"),
+               self_invalidating_only=True),
+    # Floored so a workload without RMWs still divides.
+    FigureView(8, "RMW latency normalized to MESI",
+               _scalar(lambda s: max(s.avg_rmw_latency(), 1e-9)),
+               normalized=True),
+    FigureView(9, "breakdown of L1 self-invalidation causes",
+               _percent("self_invalidation_cause_breakdown"),
+               self_invalidating_only=True),
+)}
+
+#: Title and core counts of ``repro figure 2``.
+FIGURE2_TITLE = "Figure 2 — coherence storage overhead (MB) vs core count"
+FIGURE2_CORES = (16, 32, 64, 96, 128)
+
+
 class SpecReport:
     """Aggregated report over one spec's cell expansion.
 
@@ -247,6 +331,8 @@ class SpecReport:
         spec: the reported spec (``SweepSpec`` surface: ``name``,
             ``description``, axis tuples, ``cells()``; fuzz campaigns
             report through here too).
+        cells: ``(protocol, workload, cores, scale)`` -> decoded cell, for
+            the cells present (the paper's figures extract from these).
         baseline: protocol name normalized columns divide against
             (``None`` disables normalization).
         fields: the declared fields reported, in declaration order
@@ -277,6 +363,7 @@ class SpecReport:
                 w for c, s, _, w in self._expansion if (c, s) == platform)
             for platform in self.platforms
         }
+        self.cells = cells
         # (protocol, workload, cores, scale) -> {field name: value}, only
         # for cells actually present.
         self.values: Dict[Tuple[str, str, int, float], Dict[str, object]] = {
@@ -354,8 +441,7 @@ class SpecReport:
         return formats
 
     def cell_table(self) -> ReportTable:
-        """One row per *present* cell with every reported field (matches
-        ``SweepResult.cell_rows()`` for stats sweeps)."""
+        """One row per *present* cell with every reported field."""
         rows: List[Dict[str, object]] = []
         for cores, scale, protocol, workload in self._expansion:
             extracted = self.values.get((protocol, workload, cores, scale))
@@ -388,8 +474,8 @@ class SpecReport:
 
     def mix_table(self, normalized: bool = True) -> ReportTable:
         """One row per (protocol, cores, scale): fields aggregated over the
-        workload mix — the exact quantities ``SweepResult.rows()`` reports
-        — plus, when ``normalized``, a ``<field>_speedup`` column against
+        workload mix — the table ``repro sweep`` prints — plus, when
+        ``normalized``, a ``<field>_speedup`` column against
         the baseline variant and a closing geomean row per platform point.
 
         Speedup is ``baseline/value`` for lower-is-better fields and
@@ -449,6 +535,27 @@ class SpecReport:
         if message not in self.warnings:
             self.warnings.append(message)
 
+    def _platform(self, cores: Optional[int],
+                  scale: Optional[float]) -> Tuple[int, float]:
+        """``(cores, scale)``, taking an omitted one from the first
+        platform point."""
+        if cores is None or scale is None:
+            default = self.platforms[0]
+            cores = cores if cores is not None else default[0]
+            scale = scale if scale is not None else default[1]
+        return cores, scale
+
+    def _platform_cells(self, protocols: Sequence[str], cores: int,
+                        scale: float):
+        """``(protocol, workload, cell)`` for each present cell of
+        ``protocols`` at one platform point, in axis order — the
+        per-workload loop of pivots and figures."""
+        for protocol in protocols:
+            for workload in self._mix_workloads.get((cores, scale), []):
+                cell = (protocol, workload, cores, scale)
+                if cell in self.cells:
+                    yield protocol, workload, cell
+
     def pivot(self, field_name: str, cores: Optional[int] = None,
               scale: Optional[float] = None) -> Dict[str, Dict[str, float]]:
         """Figure-style series for one field: ``{protocol: {workload:
@@ -460,18 +567,11 @@ class SpecReport:
             raise ValueError(
                 f"unknown report field {field_name!r}; known: "
                 f"{', '.join(names)}")
-        if cores is None or scale is None:
-            default = self.platforms[0]
-            cores = cores if cores is not None else default[0]
-            scale = scale if scale is not None else default[1]
-        series: Dict[str, Dict[str, float]] = {}
-        for protocol in self.protocols:
-            per_workload: Dict[str, float] = {}
-            for workload in self._mix_workloads.get((cores, scale), []):
-                extracted = self.values.get((protocol, workload, cores, scale))
-                if extracted is not None:
-                    per_workload[workload] = extracted[field_name]
-            series[protocol] = per_workload
+        cores, scale = self._platform(cores, scale)
+        series: Dict[str, Dict[str, float]] = {p: {} for p in self.protocols}
+        for protocol, workload, cell in self._platform_cells(
+                self.protocols, cores, scale):
+            series[protocol][workload] = self.values[cell][field_name]
         return series
 
     def figures(self, cores: Optional[int] = None,
@@ -479,12 +579,7 @@ class SpecReport:
         """Every reported field as a figure-style series table (one column
         per variant, one row per workload) at one platform point — the
         ``repro sweep --figure`` view."""
-        from repro.analysis.tables import format_series_table
-
-        if cores is None or scale is None:
-            default = self.platforms[0]
-            cores = cores if cores is not None else default[0]
-            scale = scale if scale is not None else default[1]
+        cores, scale = self._platform(cores, scale)
         sections = []
         for f in self.fields:
             sections.append(format_series_table(
@@ -494,6 +589,50 @@ class SpecReport:
                 title=f"{self.spec.name}: {f.name} per workload "
                       f"(cores={cores}, scale={scale})"))
         return "\n\n".join(sections)
+
+    def figure(self, number: int, cores: Optional[int] = None,
+               scale: Optional[float] = None) -> Dict[str, Dict[str, float]]:
+        """The series of the paper's Figure ``number`` (a :data:`FIGURES`
+        view) at one platform point: ``{column: {workload: value}}``, plus
+        a ``gmean`` row per column when the figure is normalized.
+
+        Raises:
+            KeyError: for a figure number without a view.
+            ValueError: for a normalized figure whose protocols omit
+                :data:`FIGURE_BASELINE`.
+        """
+        from repro.protocols.registry import get_protocol
+
+        view = FIGURES[number]
+        view.check(self.protocols)
+        protocols = [p for p in self.protocols
+                     if not view.self_invalidating_only
+                     or get_protocol(p).self_invalidates]
+        series: Dict[str, Dict[str, float]] = {}
+        for protocol, workload, cell in self._platform_cells(
+                protocols, *self._platform(cores, scale)):
+            for component, value in view.extract(self.cells[cell]).items():
+                column = f"{protocol}:{component}" if component else protocol
+                series.setdefault(column, {})[workload] = value
+        if view.normalized:
+            base = series.get(FIGURE_BASELINE, {})
+            series = {column: {w: v / base[w] for w, v in values.items()
+                               if base.get(w)}
+                      for column, values in series.items()}
+            for values in series.values():
+                if values:
+                    values["gmean"] = geomean(values.values())
+        return series
+
+    def figure_table(self, number: int, cores: Optional[int] = None,
+                     scale: Optional[float] = None) -> str:
+        """Figure ``number`` as ``repro figure`` prints it: one column per
+        protocol (or ``protocol:component``), one row per workload."""
+        cores, scale = self._platform(cores, scale)
+        return format_series_table(
+            self.figure(number, cores, scale),
+            row_order=self._mix_workloads.get((cores, scale), []),
+            title=FIGURES[number].title)
 
 
 def _speedup(value: Optional[object], base: Optional[object],

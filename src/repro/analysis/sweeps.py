@@ -43,9 +43,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.parallel import (MatrixExecutor, ReportField, ResultCache,
                                      declare_report_fields)
-from repro.protocols.registry import list_protocol_names, variant_group
+from repro.protocols.registry import (PAPER_CONFIGURATIONS,
+                                      list_protocol_names, variant_group)
 from repro.sim.config import SystemConfig
 from repro.sim.stats import SystemStats
+from repro.workloads.benchmarks import benchmark_names
 from repro.workloads.catalog import canonical_workload_name
 from repro.workloads.suites import get_suite
 
@@ -146,7 +148,7 @@ class SweepSpec:
         so cells(), run() and the report layer agree by construction.
 
         The resolution is memoized per spec instance (specs are frozen and
-        the report/tabulate paths re-resolve per row): within one process a
+        the report paths re-resolve per row): within one process a
         spec resolves its axis once, so a trace file edited *while* a
         process holds a resolved spec is not re-digested — one-shot CLI
         runs always see the file as it was at first resolution.
@@ -270,12 +272,12 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """Executed sweep: per-cell statistics plus tabulation helpers.
+    """Executed sweep: per-cell statistics; :meth:`report` tabulates them.
 
     A sharded execution (``SweepSpec.run(backend=ShardBackend(...))``)
     yields a *partial* result: ``stats`` holds only the shard's cells (plus
     whatever the cache already had).  ``complete`` distinguishes the two;
-    the per-mix aggregations refuse to sum over holes.
+    the report's per-mix aggregations refuse to sum over holes.
 
     Attributes:
         spec: the sweep that was run.
@@ -294,89 +296,36 @@ class SweepResult:
         return all((protocol, workload, cores, scale) in self.stats
                    for cores, scale, protocol, workload in self.spec.cells())
 
-    def cell_rows(self) -> List[Dict[str, object]]:
-        """One row per *executed* cell with every metric of the spec
-        (cells a shard backend skipped are simply absent)."""
-        rows: List[Dict[str, object]] = []
-        for cores, scale, protocol, workload in self.spec.cells():
-            cell = self.stats.get((protocol, workload, cores, scale))
-            if cell is None:
-                continue
-            row: Dict[str, object] = {
-                "protocol": protocol, "workload": workload,
-                "cores": cores, "scale": scale,
-            }
-            for metric in self.spec.metrics:
-                row[metric] = METRICS[metric](cell)
-            rows.append(row)
-        return rows
-
-    def rows(self) -> List[Dict[str, object]]:
-        """One row per (variant, cores, scale): metrics summed over the
-        workload mix — the quantity the ablation studies compare.
-
-        Raises:
-            ValueError: on a partial (sharded) result, where summing over
-                the mix would silently compare unequal subsets.
-        """
-        if not self.complete:
-            raise ValueError(
-                f"sweep {self.spec.name!r} result is partial (sharded "
-                f"run?): {len(self.stats)} of {self.spec.num_cells} cells; "
-                f"merge every shard before aggregating")
-        rows: List[Dict[str, object]] = []
-        for cores in self.spec.cores:
-            for scale in self.spec.scales:
-                for protocol in self.spec.protocols:
-                    row: Dict[str, object] = {
-                        "protocol": protocol, "cores": cores, "scale": scale,
-                    }
-                    for metric in self.spec.metrics:
-                        row[metric] = sum(
-                            METRICS[metric](self.stats[(protocol, w, cores, scale)])
-                            for w in self.spec.resolved_workloads()
-                        )
-                    rows.append(row)
-        return rows
-
-    def value(self, protocol: str, metric: str, cores: Optional[int] = None,
-              scale: Optional[float] = None) -> float:
-        """Summed ``metric`` for one variant (single-platform sweeps may
-        omit ``cores``/``scale``)."""
-        cores = cores if cores is not None else self.spec.cores[0]
-        scale = scale if scale is not None else self.spec.scales[0]
-        return sum(METRICS[metric](self.stats[(protocol, w, cores, scale)])
-                   for w in self.spec.resolved_workloads())
-
-    def by_protocol(self) -> Dict[str, Dict[str, float]]:
-        """``{variant: {metric: summed value}}`` for single-platform sweeps
-        (the shape the ablation assertions consume)."""
-        return {row["protocol"]: {metric: row[metric]
-                                  for metric in self.spec.metrics}
-                for row in self.rows()}
-
-    def tabulate(self, per_cell: bool = False) -> str:
-        """Render the sweep as an aligned plain-text table.  Partial
-        (sharded) results always tabulate per cell — per-mix sums over an
-        incomplete workload set would be meaningless."""
-        from repro.analysis.tables import format_table
-
-        rows = self.cell_rows() if per_cell or not self.complete else self.rows()
-        title = (f"Sweep {self.spec.name} — {self.spec.description} "
-                 f"(workloads: {', '.join(self.spec.workloads)})")
-        return format_table(rows, title=title)
-
     def report(self, baseline: Optional[str] = None) -> "SpecReport":
         """Build a :class:`repro.analysis.report.SpecReport` from this
         in-memory result (same aggregation pipeline ``repro report`` runs
-        over the cache, so ``sweep --figure`` and cache-side reports agree
-        by construction)."""
+        over the cache, so live and cache-side tables agree by
+        construction)."""
         from repro.analysis.report import SpecReport
 
         return SpecReport.from_stats(
             self.spec, self.stats,
             baseline=baseline if baseline is not None else self.spec.baseline,
         )
+
+
+def figure_spec(protocols: Optional[Sequence[str]] = None,
+                workloads: Optional[Sequence[str]] = None,
+                cores: int = 8, scale: float = 0.35) -> SweepSpec:
+    """The matrix behind the paper's Figures 3–9 on one platform:
+    ``protocols`` (default: the seven paper configurations, MESI first) x
+    ``workloads`` (default: the 16 Table 3 stand-ins), baseline MESI.
+    ``repro figure`` and ``benchmarks/`` run it and render
+    ``result.report().figure(n)``."""
+    return SweepSpec(
+        name="figures",
+        description="the paper's evaluation matrix (Figures 3-9)",
+        protocols=tuple(protocols or PAPER_CONFIGURATIONS),
+        workloads=tuple(workloads or benchmark_names()),
+        cores=(cores,),
+        scales=(scale,),
+        baseline="MESI",
+    )
 
 
 # ---------------------------------------------------------------------- registry

@@ -63,13 +63,14 @@ from repro.analysis.backends import (ShardBackend, list_backend_names,
                                      missing_cells, plan_sweep,
                                      resolve_backend, resolve_shard)
 from repro.analysis.cache_index import CacheIndex, collect_garbage
-from repro.analysis.experiments import ExperimentRunner
-from repro.analysis.parallel import (DEFAULT_CACHE_DIR, ResultCache,
-                                     WorkloadValidationError,
+from repro.analysis.parallel import (DEFAULT_CACHE_DIR, MatrixExecutor,
+                                     ResultCache, WorkloadValidationError,
                                      _default_results_root)
-from repro.analysis.report import (SpecReport, diff_snapshots, gather_cells,
+from repro.analysis.report import (FIGURE2_CORES, FIGURE2_TITLE, FIGURES,
+                                   SpecReport, diff_snapshots, gather_cells,
                                    render_dashboard, render_table)
-from repro.analysis.sweeps import SWEEPS, SweepSpec, get_sweep, list_sweeps
+from repro.analysis.sweeps import (SWEEPS, SweepSpec, figure_spec, get_sweep,
+                                   list_sweeps)
 from repro.analysis.tables import format_series_table, format_table, protocol_rows
 from repro.consistency import canonical_tests, generate_random_test, verify_litmus
 from repro.consistency.fuzz import (format_test, get_campaign, list_campaigns,
@@ -162,10 +163,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Backend resolution can also fail inside the executor (env-driven
         # selection: REPRO_BACKEND/REPRO_SHARD), so construction is guarded
         # too; KeyError is an unknown backend name.
-        runner = ExperimentRunner(
-            system_config=SystemConfig().scaled(num_cores=args.cores),
-            protocols=protocols,
-            workloads=[workload_name],
+        executor = MatrixExecutor(
+            SystemConfig().scaled(num_cores=args.cores),
             scale=args.scale,
             max_cycles=args.max_cycles,
             jobs=args.jobs,
@@ -176,14 +175,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     try:
-        runner.run_all()
+        results = executor.run_cells([(protocol, workload_name)
+                                      for protocol in protocols])
     except WorkloadValidationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     rows = []
     skipped = []
     for protocol in protocols:
-        stats = runner.results.get(protocol, {}).get(workload_name)
+        stats = results.get((protocol, workload_name))
         if stats is None:
             # A shard backend only executes the cells of its shard.
             skipped.append(protocol)
@@ -205,51 +205,47 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    try:
-        runner = ExperimentRunner(
-            system_config=SystemConfig().scaled(num_cores=args.cores),
-            protocols=_split(args.protocols),
-            workloads=_split(args.workloads),
-            scale=args.scale,
-            jobs=args.jobs,
-            cache=_make_cache(args),
-            backend=getattr(args, "backend", None),
-        )
-    except (ValueError, KeyError) as exc:
-        # Bad backend selection (e.g. REPRO_BACKEND=shard without
-        # coordinates, or an unknown backend name).
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+    views = {str(number): view for number, view in FIGURES.items()}
+    if args.number == "2":
+        # Analytic: the storage model over core counts, nothing simulated.
+        series = StorageModel(SystemConfig()).figure2_series(
+            PAPER_TSOCC_CONFIGS, core_counts=FIGURE2_CORES)
+        table = format_series_table(series, title=FIGURE2_TITLE,
+                                    row_label="cores")
+    elif args.number not in views:
+        print(f"unknown figure {args.number!r}; choose one of 2, "
+              f"{', '.join(views)}", file=sys.stderr)
         return 2
-    if isinstance(runner.executor.backend, ShardBackend):
-        # A figure needs every cell of its matrix; refuse up front instead
-        # of simulating one shard and crashing on the first missing cell.
-        print("repro figure needs the full matrix and cannot run sharded; "
-              "unset REPRO_SHARD or drop --backend shard (shard a sweep "
-              "with 'repro shard run' instead)", file=sys.stderr)
-        return 2
-    methods = {
-        "2": runner.figure2_storage,
-        "3": runner.figure3_execution_time,
-        "4": runner.figure4_network_traffic,
-        "5": runner.figure5_miss_breakdown,
-        "6": runner.figure6_hit_breakdown,
-        "7": runner.figure7_selfinval_triggers,
-        "8": runner.figure8_rmw_latency,
-        "9": runner.figure9_selfinval_causes,
-    }
-    if args.number not in methods:
-        print(f"unknown figure {args.number!r}; choose one of {', '.join(methods)}",
-              file=sys.stderr)
-        return 2
-    try:
-        figure = methods[args.number]()
-    except WorkloadValidationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    label = "cores" if args.number == "2" else "workload"
-    table = format_series_table(figure.series, row_order=figure.row_order,
-                                title=f"{figure.figure} — {figure.description}",
-                                row_label=label)
+    else:
+        spec = figure_spec(_split(args.protocols), _split(args.workloads),
+                           cores=args.cores, scale=args.scale)
+        try:
+            views[args.number].check(spec.protocols)
+            # Bad backend selection (e.g. REPRO_BACKEND=shard without
+            # coordinates, or an unknown backend name).
+            backend = resolve_backend(args.backend)
+        except (ValueError, KeyError) as exc:
+            print(exc.args[0] if exc.args else exc, file=sys.stderr)
+            return 2
+        if isinstance(backend, ShardBackend):
+            # A figure needs every cell of its matrix; refuse up front
+            # instead of simulating one shard of it.
+            print("repro figure needs the full matrix and cannot run "
+                  "sharded; unset REPRO_SHARD or drop --backend shard "
+                  "(shard a sweep with 'repro shard run' instead)",
+                  file=sys.stderr)
+            return 2
+        try:
+            result = spec.run(jobs=args.jobs, cache=_make_cache(args),
+                              backend=backend)
+        except KeyError as exc:
+            # Unregistered protocol names in --protocols.
+            print(exc.args[0], file=sys.stderr)
+            return 2
+        except WorkloadValidationError as exc:
+            print(f"FAIL: {exc}", file=sys.stderr)
+            return 1
+        table = result.report().figure_table(int(args.number))
     print(table)
     if args.save:
         results_dir = Path(args.results_dir)
@@ -258,6 +254,19 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         out.write_text(table + "\n", encoding="utf-8")
         print(f"saved {out}")
     return 0
+
+
+def _sweep_table(report: SpecReport, per_cell: bool) -> str:
+    """The table ``repro sweep`` and ``repro shard run`` print: each
+    variant's metrics summed over the workload mix, or one row per cell for
+    ``per_cell`` and for partial (sharded) results, where sums over an
+    incomplete mix would be meaningless."""
+    spec = report.spec
+    table = report.cell_table() if per_cell or not report.complete \
+        else report.mix_table(normalized=False)
+    table.title = (f"Sweep {spec.name} — {spec.description} "
+                   f"(workloads: {', '.join(spec.workloads)})")
+    return table.render()
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -308,14 +317,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except WorkloadValidationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    table = result.tabulate(per_cell=args.per_cell)
+    report = result.report(baseline=args.baseline)
+    table = _sweep_table(report, args.per_cell)
     print(table)
     executed = len(result.stats)
     print(f"({executed} of {spec.num_cells} cells executed: "
           f"{result.simulations_run} simulated, "
           f"{executed - result.simulations_run} from cache)")
     if args.figure or args.baseline:
-        report = result.report(baseline=args.baseline)
         if report.baseline is not None:
             print()
             print(report.mix_table().render())
@@ -419,7 +428,7 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
         return 1
     owned = {(cell.protocol, cell.workload, cell.cores, cell.scale)
              for cell in plan_sweep(spec, shard[1]).shard_cells(shard[0])}
-    print(result.tabulate(per_cell=True))
+    print(_sweep_table(result.report(), per_cell=True))
     # A warm shared cache can hand back cells of *other* shards too; the
     # footer accounts only for this shard's own cells.
     owned_executed = sum(1 for cell in result.stats if cell in owned)
@@ -637,13 +646,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_storage(args: argparse.Namespace) -> int:
     core_counts = [int(c) for c in (_split(args.cores) or ["16", "32", "64", "128"])]
-    model = StorageModel(SystemConfig())
-    series = model.figure2_series(PAPER_TSOCC_CONFIGS, core_counts=core_counts)
-    cores = [int(c) for c in series.pop("cores")]
-    data = {name: {str(c): values[i] for i, c in enumerate(cores)}
-            for name, values in series.items()}
-    print(format_series_table(data, row_order=[str(c) for c in cores],
-                              title="Coherence storage overhead (MB)",
+    series = StorageModel(SystemConfig()).figure2_series(
+        PAPER_TSOCC_CONFIGS, core_counts=core_counts)
+    print(format_series_table(series, title="Coherence storage overhead (MB)",
                               row_label="cores"))
     return 0
 

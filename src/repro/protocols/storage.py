@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.protocols.registry import get_protocol
 from repro.sim.config import SystemConfig
@@ -69,17 +69,16 @@ class StorageModel:
     def figure2_series(
         self,
         configs: Iterable,
-        core_counts: Iterable[int] = (2, 4, 8, 16, 32, 48, 64, 80, 96, 112, 128),
-    ) -> Dict[str, List[float]]:
-        """Return the Figure 2 data: overhead in MB per core count, for MESI
-        and every protocol in ``configs`` (names, plugins or configs)."""
-        counts = list(core_counts)
-        series: Dict[str, List[float]] = {"cores": [float(c) for c in counts]}
-        series["MESI"] = [self.overhead_mbytes(c) for c in counts]
+        core_counts: Sequence[int] = (2, 4, 8, 16, 32, 48, 64, 80, 96, 112, 128),
+    ) -> Dict[str, Dict[int, float]]:
+        """Return the Figure 2 data, ``{protocol: {cores: overhead MB}}``,
+        for MESI and every protocol in ``configs`` (names, plugins or
+        configs)."""
+        series = {"MESI": {c: self.overhead_mbytes(c) for c in core_counts}}
         for config in configs:
             protocol = get_protocol(config)
-            series[protocol.name] = [self.overhead_mbytes(c, protocol)
-                                     for c in counts]
+            series[protocol.name] = {c: self.overhead_mbytes(c, protocol)
+                                     for c in core_counts}
         return series
 
     def table1_breakdown(self, config, num_cores: Optional[int] = None) -> Dict[str, float]:

@@ -224,18 +224,14 @@ def test_sharded_union_matches_local_without_cache():
         assert canonical(seen[cell]) == canonical(reference[cell])
 
 
-def test_executor_run_cell_reports_shard_misses():
+def test_sharded_executor_omits_cells_of_other_shards():
     config = make_tiny_config()
     key = cell_key(config, "MESI", "fft", SCALE, 200_000_000)
     other = (shard_of_key(key, 2) + 1) % 2
     executor = MatrixExecutor(config, scale=SCALE, jobs=1,
                               backend=ShardBackend(other, 2))
-    with pytest.raises(KeyError, match="sharded"):
-        executor.run_cell("fft", "MESI")
-    # run_matrix needs every cell, so a sharded executor must explain the
-    # hole rather than surface a bare KeyError.
-    with pytest.raises(KeyError, match="sharded"):
-        executor.run_matrix(["MESI"], ["fft"])
+    assert executor.run_cells([("MESI", "fft")]) == {}
+    assert executor.simulations_run == 0
 
 
 # ------------------------------------------------------------------ planning
@@ -391,11 +387,17 @@ def test_partial_sweep_result_refuses_mix_aggregation(tmp_path):
     assert index is not None, "no partial shard found for the fixture spec"
     result = spec.run(jobs=1, backend=ShardBackend(index, shard_count))
     assert not result.complete
-    with pytest.raises(ValueError, match="partial"):
-        result.rows()
-    # Tabulation silently falls back to the per-cell grain.
-    table = result.tabulate()
-    assert "workload" in table
+    report = result.report()
+    assert not report.complete
+    # A variant whose (one-workload) mix lost its cell to another shard
+    # gets no sum, rendered as missing ...
+    present = {protocol for protocol, _, _, _ in result.stats}
+    for row in report.mix_table(normalized=False).rows:
+        assert (row["cycles"] is None) == (row["protocol"] not in present)
+    # ... while the per-cell grain lists exactly the shard's cells.
+    cells = report.cell_table().rows
+    assert {(row["protocol"], row["workload"], row["cores"], row["scale"])
+            for row in cells} == set(result.stats)
 
 
 # ------------------------------------------------------------------ CLI

@@ -35,9 +35,9 @@ def test_run_command_accepts_msi(capsys):
     assert "MSI" in out and "cycles" in out
 
 
-def test_run_command_small(capsys):
+def test_run_command_small(tmp_path, capsys):
     code = main(["run", "fft", "--protocol", "MESI", "--protocol", "TSO-CC-4-12-3",
-                 "--cores", "4", "--scale", "0.2"])
+                 "--cores", "4", "--scale", "0.2", "--cache-dir", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "MESI" in out and "TSO-CC-4-12-3" in out
@@ -50,12 +50,40 @@ def test_storage_command(capsys):
     assert "MESI" in out and "128" in out
 
 
-def test_figure_command_subset(capsys):
+def test_figure_command_subset(tmp_path, capsys):
     code = main(["figure", "3", "--workloads", "fft", "--cores", "4",
-                 "--scale", "0.2", "--protocols", "MESI,TSO-CC-4-basic"])
+                 "--scale", "0.2", "--protocols", "MESI,TSO-CC-4-basic",
+                 "--cache-dir", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "Figure 3" in out and "gmean" in out
+
+
+def test_figure_command_normalizes_to_mesi_wherever_listed(tmp_path, capsys):
+    code = main(["figure", "3", "--workloads", "fft,intruder", "--protocols",
+                 "TSO-CC-4-12-3,MESI", "--cores", "2", "--scale", "0.1",
+                 "--jobs", "1", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert [row.split()[0] for row in rows] == ["fft", "intruder", "gmean"]
+    # Columns: workload, TSO-CC-4-12-3, MESI.
+    assert [row.split()[2] for row in rows] == ["1.000"] * 3
+    assert [row.split()[1] for row in rows] != ["1.000"] * 3
+
+
+def test_figure_command_refuses_a_normalized_figure_without_mesi(tmp_path,
+                                                                 capsys):
+    cache = tmp_path / "cache"
+    code = main(["figure", "8", "--workloads", "fft", "--protocols",
+                 "TSO-CC-4-basic,TSO-CC-4-12-3", "--cores", "2",
+                 "--scale", "0.1", "--cache-dir", str(cache)])
+    assert code == 2
+    assert "normalized to MESI" in capsys.readouterr().err
+    assert not cache.exists()  # refused before simulating anything
+    # Breakdown figures need no baseline.
+    assert main(["figure", "9", "--workloads", "fft", "--protocols",
+                 "TSO-CC-4-basic", "--cores", "2", "--scale", "0.1",
+                 "--jobs", "1", "--cache-dir", str(cache)]) == 0
 
 
 def test_figure_command_rejects_unknown_figure(capsys):

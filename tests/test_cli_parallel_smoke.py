@@ -11,13 +11,13 @@ def test_default_results_dir_is_benchmarks_results():
     assert DEFAULT_RESULTS_DIR == RESULTS_DIR
 
 
-def test_figure_cli_parallel_no_cache_writes_results_file(capsys):
-    out_file = RESULTS_DIR / "figure3.txt"
-    out_file.unlink(missing_ok=True)
+def test_figure_cli_parallel_no_cache_writes_results_file(tmp_path, capsys):
+    out_file = tmp_path / "figure3.txt"
 
     code = main(["figure", "3", "--workloads", "fft", "--cores", "2",
                  "--scale", "0.2", "--protocols", "MESI,TSO-CC-4-basic",
-                 "--jobs", "2", "--no-cache", "--save"])
+                 "--jobs", "2", "--no-cache", "--save",
+                 "--results-dir", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "Figure 3" in out and "gmean" in out

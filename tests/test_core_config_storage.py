@@ -133,17 +133,17 @@ def test_storage_reductions_match_paper_shape():
 def test_figure2_series_structure():
     model = StorageModel(SystemConfig())
     series = model.figure2_series(PAPER_TSOCC_CONFIGS, core_counts=(16, 32, 64))
-    assert series["cores"] == [16.0, 32.0, 64.0]
-    assert len(series["MESI"]) == 3
+    assert list(series) == ["MESI"] + [c.name for c in PAPER_TSOCC_CONFIGS]
+    assert list(series["MESI"]) == [16, 32, 64]
     for config in PAPER_TSOCC_CONFIGS:
-        assert all(v > 0 for v in series[config.name])
+        assert all(v > 0 for v in series[config.name].values())
         if config.ts_bits is None and config.use_timestamps:
             # The idealised "noreset" configuration charges 31-bit
             # timestamps and may exceed MESI at small core counts; Figure 2
             # only plots the realistic configurations.
             continue
         # Every realistic TSO-CC config is cheaper than MESI from 32 cores up.
-        assert all(t < m for t, m in list(zip(series[config.name], series["MESI"]))[1:])
+        assert all(series[config.name][c] < series["MESI"][c] for c in (32, 64))
 
 
 def test_table1_breakdown_fields():

@@ -12,13 +12,14 @@ import pytest
 
 import repro.analysis.parallel as parallel
 from _helpers import make_tiny_config
-from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.parallel import (MatrixExecutor, ResultCache,
                                      WorkloadValidationError, resolve_jobs)
 from repro.sim.config import SystemConfig
 
 PROTOCOLS = ["MESI", "TSO-CC-4-12-3"]
 WORKLOADS = ["fft", "intruder"]
+CELLS = [(protocol, workload) for protocol in PROTOCOLS
+         for workload in WORKLOADS]
 SCALE = 0.2
 
 
@@ -30,28 +31,11 @@ def canonical(stats) -> str:
 
 def test_serial_and_parallel_runs_identical():
     config = make_tiny_config()
-    serial = MatrixExecutor(config, scale=SCALE, jobs=1).run_matrix(
-        PROTOCOLS, WORKLOADS)
-    four_way = MatrixExecutor(config, scale=SCALE, jobs=4).run_matrix(
-        PROTOCOLS, WORKLOADS)
-    for protocol in PROTOCOLS:
-        for workload in WORKLOADS:
-            assert canonical(serial[protocol][workload]) == \
-                canonical(four_way[protocol][workload]), (protocol, workload)
-
-
-def test_experiment_runner_parallel_matches_serial():
-    config = make_tiny_config()
-    serial = ExperimentRunner(config, protocols=PROTOCOLS,
-                              workloads=WORKLOADS, scale=SCALE, jobs=1)
-    serial.run_all()
-    four_way = ExperimentRunner(config, protocols=PROTOCOLS,
-                                workloads=WORKLOADS, scale=SCALE, jobs=4)
-    four_way.run_all()
-    for protocol in PROTOCOLS:
-        for workload in WORKLOADS:
-            assert canonical(serial.results[protocol][workload]) == \
-                canonical(four_way.results[protocol][workload])
+    serial = MatrixExecutor(config, scale=SCALE, jobs=1).run_cells(CELLS)
+    four_way = MatrixExecutor(config, scale=SCALE, jobs=4).run_cells(CELLS)
+    assert sorted(serial) == sorted(four_way) == sorted(CELLS)
+    for cell in CELLS:
+        assert canonical(serial[cell]) == canonical(four_way[cell]), cell
 
 
 # ------------------------------------------------------------------ caching
@@ -60,18 +44,16 @@ def test_warm_cache_serves_all_cells_with_zero_simulations(tmp_path):
     config = make_tiny_config()
     cold = MatrixExecutor(config, scale=SCALE, jobs=2,
                           cache=ResultCache(tmp_path))
-    first = cold.run_matrix(PROTOCOLS, WORKLOADS)
-    assert cold.simulations_run == len(PROTOCOLS) * len(WORKLOADS)
+    first = cold.run_cells(CELLS)
+    assert cold.simulations_run == len(CELLS)
 
     warm = MatrixExecutor(config, scale=SCALE, jobs=2,
                           cache=ResultCache(tmp_path))
-    second = warm.run_matrix(PROTOCOLS, WORKLOADS)
+    second = warm.run_cells(CELLS)
     assert warm.simulations_run == 0
-    assert warm.cache.hits == len(PROTOCOLS) * len(WORKLOADS)
-    for protocol in PROTOCOLS:
-        for workload in WORKLOADS:
-            assert canonical(first[protocol][workload]) == \
-                canonical(second[protocol][workload])
+    assert warm.cache.hits == len(CELLS)
+    for cell in CELLS:
+        assert canonical(first[cell]) == canonical(second[cell])
 
 
 def test_config_change_busts_the_key(tmp_path):
@@ -90,14 +72,14 @@ def test_config_change_triggers_resimulation(tmp_path):
     cache_root = tmp_path
     first = MatrixExecutor(make_tiny_config(), scale=SCALE, jobs=1,
                            cache=ResultCache(cache_root))
-    first.run_cell("fft", "MESI")
+    first.run_cells([("MESI", "fft")])
     assert first.simulations_run == 1
 
     changed = SystemConfig().scaled(num_cores=2, l1_size_bytes=2048,
                                     l2_tile_size_bytes=8 * 1024)
     second = MatrixExecutor(changed, scale=SCALE, jobs=1,
                             cache=ResultCache(cache_root))
-    second.run_cell("fft", "MESI")
+    second.run_cells([("MESI", "fft")])
     assert second.simulations_run == 1  # miss: different config, new key
 
 
@@ -105,14 +87,14 @@ def test_schema_version_bump_busts_everything(tmp_path, monkeypatch):
     config = make_tiny_config()
     first = MatrixExecutor(config, scale=SCALE, jobs=1,
                            cache=ResultCache(tmp_path))
-    first.run_cell("fft", "MESI")
+    first.run_cells([("MESI", "fft")])
     assert first.simulations_run == 1
 
     monkeypatch.setattr(parallel, "CACHE_SCHEMA_VERSION",
                         parallel.CACHE_SCHEMA_VERSION + 1)
     bumped = MatrixExecutor(config, scale=SCALE, jobs=1,
                             cache=ResultCache(tmp_path))
-    bumped.run_cell("fft", "MESI")
+    bumped.run_cells([("MESI", "fft")])
     assert bumped.simulations_run == 1  # old entry unreachable under new key
 
 
@@ -120,13 +102,13 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     config = make_tiny_config()
     cache = ResultCache(tmp_path)
     executor = MatrixExecutor(config, scale=SCALE, jobs=1, cache=cache)
-    executor.run_cell("fft", "MESI")
+    executor.run_cells([("MESI", "fft")])
     key = cache.key(config, "MESI", "fft", SCALE, executor.max_cycles)
     cache.path(key).write_text("{ not json", encoding="utf-8")
 
     recovered = MatrixExecutor(config, scale=SCALE, jobs=1,
                                cache=ResultCache(tmp_path))
-    recovered.run_cell("fft", "MESI")
+    recovered.run_cells([("MESI", "fft")])
     assert recovered.simulations_run == 1
     assert not cache.path(key).read_text().startswith("{ not")  # rewritten
 
@@ -168,10 +150,10 @@ def test_disabled_cache_writes_and_reads_nothing(tmp_path):
     config = make_tiny_config()
     executor = MatrixExecutor(config, scale=SCALE, jobs=1,
                               cache=ResultCache(tmp_path, enabled=False))
-    executor.run_cell("fft", "MESI")
+    executor.run_cells([("MESI", "fft")])
     executor2 = MatrixExecutor(config, scale=SCALE, jobs=1,
                                cache=ResultCache(tmp_path, enabled=False))
-    executor2.run_cell("fft", "MESI")
+    executor2.run_cells([("MESI", "fft")])
     assert executor2.simulations_run == 1
     assert list(tmp_path.iterdir()) == []
 

@@ -1,8 +1,7 @@
 """Tests for the declarative reporting/aggregation layer and its CLI.
 
 Covers :mod:`repro.analysis.report` — declared-field selection, mix
-aggregation vs ``SweepResult.rows()`` (the golden-reproduction guarantee),
-speedup-vs-baseline normalization including the partial/sharded-cache
+aggregation, speedup-vs-baseline normalization including the partial/sharded-cache
 degradation path, geomean semantics, the cache gather view over mixed
 kinds, snapshot diffing against torn/alien entries, and the
 ``repro report`` CLI family.
@@ -15,11 +14,11 @@ import pytest
 from repro.analysis.parallel import (CELL_KINDS, ReportField, ResultCache,
                                      cell_key, declare_report_fields,
                                      report_fields)
-from repro.analysis.report import (MISSING, ReportTable, SnapshotDiff,
-                                   SpecReport, aggregate_values,
+from repro.analysis.report import (FIGURES, MISSING, ReportTable,
+                                   SnapshotDiff, SpecReport, aggregate_values,
                                    diff_snapshots, gather_cells, geomean,
                                    render_dashboard, render_table)
-from repro.analysis.sweeps import METRICS, SweepSpec, get_sweep
+from repro.analysis.sweeps import METRICS, SweepSpec, figure_spec, get_sweep
 from repro.cli import main
 from repro.sim.config import SystemConfig
 
@@ -121,20 +120,6 @@ def test_aggregate_values_modes():
 
 # ----------------------------------------------------- cache-side reporting
 
-def test_report_reproduces_sweep_rows_exactly(warm):
-    spec, cache_dir, result = warm
-    report = SpecReport.from_cache(spec, cache_dir)
-    assert report.complete and report.num_present == 2
-    mix = {row["protocol"]: row for row in report.mix_table().rows
-           if row["protocol"] != "geomean"}
-    for row in result.rows():
-        for metric in spec.metrics:
-            assert mix[row["protocol"]][metric] == row[metric]
-    # The per-cell view matches cell_rows() too.
-    cells = report.cell_table().rows
-    assert [{k: r[k] for k in r} for r in cells] == result.cell_rows()
-
-
 def test_report_normalization_and_geomean_row(warm):
     spec, cache_dir, _ = warm
     table = SpecReport.from_cache(spec, cache_dir).mix_table()
@@ -155,6 +140,16 @@ def test_report_agrees_with_in_memory_result(warm):
     from_cache = SpecReport.from_cache(spec, cache_dir).mix_table().rows
     in_memory = result.report().mix_table().rows
     assert from_cache == in_memory
+
+
+def test_figure_views_read_the_same_from_cache(tmp_path):
+    spec = figure_spec(protocols=["MESI", "TSO-CC-4-12-3"],
+                       workloads=["fft"], cores=2, scale=0.1)
+    live = spec.run(jobs=1, cache=ResultCache(tmp_path)).report()
+    cached = SpecReport.from_cache(spec, tmp_path)
+    assert cached.complete
+    for number in FIGURES:
+        assert cached.figure_table(number) == live.figure_table(number)
 
 
 def test_sweep_result_report_bridge(warm):

@@ -274,28 +274,32 @@ def test_sweep_runs_through_the_cached_executor(tmp_path):
     spec = tiny_spec()
     result = spec.run(jobs=1, cache=cache)
     assert result.simulations_run == spec.num_cells == 2
-    rows = result.rows()
+    rows = result.report().mix_table(normalized=False).rows
     assert [row["protocol"] for row in rows] == list(spec.protocols)
     for row in rows:
         assert row["cycles"] > 0 and row["flits"] > 0
     # Cell rows carry the per-workload grain.
-    assert len(result.cell_rows()) == spec.num_cells
+    assert len(result.report().cell_table()) == spec.num_cells
     # A second run with the same cache performs zero new simulations and
     # reproduces the numbers exactly.
     again = spec.run(jobs=1, cache=cache)
     assert again.simulations_run == 0
-    assert again.rows() == rows
+    assert again.report().mix_table(normalized=False).rows == rows
 
 
 def test_sweep_accessors_and_tabulation(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     spec = tiny_spec()
     result = spec.run(jobs=1, cache=cache)
-    by = result.by_protocol()
-    assert by["MESI"]["cycles"] == result.value("MESI", "cycles")
-    table = result.tabulate()
+    report = result.report()
+    mix = report.mix_table(normalized=False)
+    by = {row["protocol"]: row for row in mix.rows}
+    assert by["MESI"]["cycles"] == sum(
+        stats.cycles for (protocol, _, _, _), stats in result.stats.items()
+        if protocol == "MESI")
+    table = mix.render()
     assert "MESI" in table and "cycles" in table
-    per_cell = result.tabulate(per_cell=True)
+    per_cell = report.cell_table().render()
     assert "workload" in per_cell and "fft" in per_cell
 
 
