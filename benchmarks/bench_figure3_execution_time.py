@@ -5,6 +5,8 @@ slowdown), TSO-CC-4-basic is slightly slower than MESI, and the timestamped
 configurations are comparable to MESI on average.
 """
 
+from repro.analysis.report import FIGURE_BASELINE
+
 from bench_utils import write_result
 
 
@@ -17,7 +19,7 @@ def test_figure3_execution_time(benchmark, bench_report, results_dir):
     # Shape assertions: the baseline normalizes to exactly 1.0 everywhere,
     # and the best realistic configuration (TSO-CC-4-12-3) is no worse than
     # both the strawman and the basic protocol on average.
-    assert all(abs(v - 1.0) < 1e-9 for k, v in series["MESI"].items()
+    assert all(abs(v - 1.0) < 1e-9 for k, v in series[FIGURE_BASELINE].items()
                if k != "gmean")
     if "TSO-CC-4-12-3" in series and "CC-shared-to-L2" in series:
         best = series["TSO-CC-4-12-3"]["gmean"]

@@ -5,6 +5,8 @@ fan-out, which shows up as lower normalized RMW latency for write-shared
 workloads (radix and the STAMP applications).
 """
 
+from repro.analysis.report import FIGURE_BASELINE
+
 from bench_utils import write_result
 
 
@@ -14,7 +16,7 @@ def test_figure8_rmw_latency(benchmark, bench_report, results_dir):
     write_result(results_dir, "figure8_rmw_latency.txt",
                  bench_report.figure_table(8))
 
-    assert all(abs(v - 1.0) < 1e-9 for k, v in series["MESI"].items()
+    assert all(abs(v - 1.0) < 1e-9 for k, v in series[FIGURE_BASELINE].items()
                if k != "gmean")
     # RMW latencies must be finite and positive for every configuration.
     for protocol, per_workload in series.items():

@@ -6,6 +6,8 @@ timestamps everything is an invalid-timestamp event; with them the
 potential-acquire categories dominate.
 """
 
+from repro.analysis.report import FIGURE_BASELINE
+
 from bench_utils import write_result
 
 
@@ -17,7 +19,7 @@ def test_figure9_selfinval_causes(benchmark, bench_report, results_dir):
 
     workloads = bench_report.workloads
     # Cause fractions sum to ~100% wherever any self-invalidation occurred.
-    protocols = [p for p in bench_report.protocols if p != "MESI"]
+    protocols = [p for p in bench_report.protocols if p != FIGURE_BASELINE]
     for protocol in protocols:
         for workload in workloads:
             parts = [series.get(f"{protocol}:{cause}", {}).get(workload, 0.0)

@@ -62,7 +62,8 @@ def _executor_knobs():
 @pytest.fixture(scope="session")
 def bench_report() -> SpecReport:
     """Session-wide report over the full evaluation matrix, the one
-    ``repro figure`` renders."""
+    ``repro figure`` renders.  Its figures raise ``ValueError`` on a
+    partial matrix, e.g. when ``REPRO_SHARD`` is exported."""
     spec = figure_spec(
         protocols=_env_list("REPRO_BENCH_PROTOCOLS"),
         workloads=_env_list("REPRO_BENCH_WORKLOADS"),

@@ -321,7 +321,8 @@ class SpecReport:
     """Aggregated report over one spec's cell expansion.
 
     Build it :meth:`from_cache` (pure cache read, no simulation — missing
-    cells become ``—``) or :meth:`from_stats` (an in-memory
+    cells become ``—``, and :meth:`figure` refuses them) or
+    :meth:`from_stats` (an in-memory
     :class:`~repro.analysis.sweeps.SweepResult`'s payload dict).  Both
     paths extract the spec's declared fields once per cell and aggregate
     identically, which is what makes ``repro report sweep`` reproduce
@@ -547,14 +548,12 @@ class SpecReport:
 
     def _platform_cells(self, protocols: Sequence[str], cores: int,
                         scale: float):
-        """``(protocol, workload, cell)`` for each present cell of
-        ``protocols`` at one platform point, in axis order — the
+        """``(protocol, workload, cell)`` for every cell of ``protocols`` at
+        one platform point, present or not, in axis order — the
         per-workload loop of pivots and figures."""
         for protocol in protocols:
             for workload in self._mix_workloads.get((cores, scale), []):
-                cell = (protocol, workload, cores, scale)
-                if cell in self.cells:
-                    yield protocol, workload, cell
+                yield protocol, workload, (protocol, workload, cores, scale)
 
     def pivot(self, field_name: str, cores: Optional[int] = None,
               scale: Optional[float] = None) -> Dict[str, Dict[str, float]]:
@@ -571,7 +570,8 @@ class SpecReport:
         series: Dict[str, Dict[str, float]] = {p: {} for p in self.protocols}
         for protocol, workload, cell in self._platform_cells(
                 self.protocols, cores, scale):
-            series[protocol][workload] = self.values[cell][field_name]
+            if cell in self.values:
+                series[protocol][workload] = self.values[cell][field_name]
         return series
 
     def figures(self, cores: Optional[int] = None,
@@ -599,7 +599,10 @@ class SpecReport:
         Raises:
             KeyError: for a figure number without a view.
             ValueError: for a normalized figure whose protocols omit
-                :data:`FIGURE_BASELINE`.
+                :data:`FIGURE_BASELINE`, or when a cell of the figure's
+                protocols at that platform point is missing (a partial
+                cache or shard): columns over unequal workload subsets,
+                and their gmean rows, would not compare.
         """
         from repro.protocols.registry import get_protocol
 
@@ -608,12 +611,25 @@ class SpecReport:
         protocols = [p for p in self.protocols
                      if not view.self_invalidating_only
                      or get_protocol(p).self_invalidates]
+        cores, scale = self._platform(cores, scale)
         series: Dict[str, Dict[str, float]] = {}
+        missing: List[str] = []
         for protocol, workload, cell in self._platform_cells(
-                protocols, *self._platform(cores, scale)):
-            for component, value in view.extract(self.cells[cell]).items():
+                protocols, cores, scale):
+            decoded = self.cells.get(cell)
+            if decoded is None:
+                missing.append(f"{protocol} x {workload}")
+                continue
+            for component, value in view.extract(decoded).items():
                 column = f"{protocol}:{component}" if component else protocol
                 series.setdefault(column, {})[workload] = value
+        if missing:
+            shown = ", ".join(missing[:4])
+            if len(missing) > 4:
+                shown += f", and {len(missing) - 4} more"
+            raise ValueError(
+                f"Figure {number} needs every cell at cores={cores} "
+                f"scale={scale}; {len(missing)} missing: {shown}")
         if view.normalized:
             base = series.get(FIGURE_BASELINE, {})
             series = {column: {w: v / base[w] for w, v in values.items()

@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.parallel import (MatrixExecutor, ReportField, ResultCache,
                                      declare_report_fields)
+from repro.analysis.report import FIGURE_BASELINE, SpecReport
 from repro.protocols.registry import (PAPER_CONFIGURATIONS,
                                       list_protocol_names, variant_group)
 from repro.sim.config import SystemConfig
@@ -228,8 +229,8 @@ class SweepSpec:
             backend: execution-backend name or instance forwarded to the
                 :class:`MatrixExecutor` (see :mod:`repro.analysis.backends`).
                 A shard backend executes only its own subset of the cells,
-                leaving the :class:`SweepResult` partial
-                (``SweepResult.complete`` is ``False``).
+                leaving the :class:`SweepResult` partial (its report's
+                ``complete`` is ``False``).
 
         Raises:
             KeyError: if a protocol name is not registered.
@@ -276,8 +277,8 @@ class SweepResult:
 
     A sharded execution (``SweepSpec.run(backend=ShardBackend(...))``)
     yields a *partial* result: ``stats`` holds only the shard's cells (plus
-    whatever the cache already had).  ``complete`` distinguishes the two;
-    the report's per-mix aggregations refuse to sum over holes.
+    whatever the cache already had).  The report's ``complete`` tells the
+    two apart; its per-mix aggregations refuse to sum over holes.
 
     Attributes:
         spec: the sweep that was run.
@@ -290,19 +291,11 @@ class SweepResult:
     stats: Dict[Tuple[str, str, int, float], SystemStats]
     simulations_run: int = 0
 
-    @property
-    def complete(self) -> bool:
-        """Whether every cell of the spec's expansion has statistics."""
-        return all((protocol, workload, cores, scale) in self.stats
-                   for cores, scale, protocol, workload in self.spec.cells())
-
-    def report(self, baseline: Optional[str] = None) -> "SpecReport":
+    def report(self, baseline: Optional[str] = None) -> SpecReport:
         """Build a :class:`repro.analysis.report.SpecReport` from this
         in-memory result (same aggregation pipeline ``repro report`` runs
         over the cache, so live and cache-side tables agree by
         construction)."""
-        from repro.analysis.report import SpecReport
-
         return SpecReport.from_stats(
             self.spec, self.stats,
             baseline=baseline if baseline is not None else self.spec.baseline,
@@ -310,11 +303,12 @@ class SweepResult:
 
 
 def figure_spec(protocols: Optional[Sequence[str]] = None,
-                workloads: Optional[Sequence[str]] = None,
-                cores: int = 8, scale: float = 0.35) -> SweepSpec:
+                workloads: Optional[Sequence[str]] = None, *,
+                cores: int, scale: float) -> SweepSpec:
     """The matrix behind the paper's Figures 3–9 on one platform:
     ``protocols`` (default: the seven paper configurations, MESI first) x
-    ``workloads`` (default: the 16 Table 3 stand-ins), baseline MESI.
+    ``workloads`` (default: the 16 Table 3 stand-ins), with the figures'
+    baseline (:data:`~repro.analysis.report.FIGURE_BASELINE`).
     ``repro figure`` and ``benchmarks/`` run it and render
     ``result.report().figure(n)``."""
     return SweepSpec(
@@ -324,7 +318,7 @@ def figure_spec(protocols: Optional[Sequence[str]] = None,
         workloads=tuple(workloads or benchmark_names()),
         cores=(cores,),
         scales=(scale,),
-        baseline="MESI",
+        baseline=FIGURE_BASELINE,
     )
 
 

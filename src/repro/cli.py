@@ -67,8 +67,9 @@ from repro.analysis.parallel import (DEFAULT_CACHE_DIR, MatrixExecutor,
                                      ResultCache, WorkloadValidationError,
                                      _default_results_root)
 from repro.analysis.report import (FIGURE2_CORES, FIGURE2_TITLE, FIGURES,
-                                   SpecReport, diff_snapshots, gather_cells,
-                                   render_dashboard, render_table)
+                                   ReportTable, SpecReport, diff_snapshots,
+                                   gather_cells, render_dashboard,
+                                   render_table)
 from repro.analysis.sweeps import (SWEEPS, SweepSpec, figure_spec, get_sweep,
                                    list_sweeps)
 from repro.analysis.tables import format_series_table, format_table, protocol_rows
@@ -256,7 +257,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_table(report: SpecReport, per_cell: bool) -> str:
+def _sweep_table(report: SpecReport, per_cell: bool) -> ReportTable:
     """The table ``repro sweep`` and ``repro shard run`` print: each
     variant's metrics summed over the workload mix, or one row per cell for
     ``per_cell`` and for partial (sharded) results, where sums over an
@@ -266,7 +267,7 @@ def _sweep_table(report: SpecReport, per_cell: bool) -> str:
         else report.mix_table(normalized=False)
     table.title = (f"Sweep {spec.name} — {spec.description} "
                    f"(workloads: {', '.join(spec.workloads)})")
-    return table.render()
+    return table
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -318,7 +319,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     report = result.report(baseline=args.baseline)
-    table = _sweep_table(report, args.per_cell)
+    table = _sweep_table(report, args.per_cell).render()
     print(table)
     executed = len(result.stats)
     print(f"({executed} of {spec.num_cells} cells executed: "
@@ -428,7 +429,7 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
         return 1
     owned = {(cell.protocol, cell.workload, cell.cores, cell.scale)
              for cell in plan_sweep(spec, shard[1]).shard_cells(shard[0])}
-    print(_sweep_table(result.report(), per_cell=True))
+    print(_sweep_table(result.report(), per_cell=True).render())
     # A warm shared cache can hand back cells of *other* shards too; the
     # footer accounts only for this shard's own cells.
     owned_executed = sum(1 for cell in result.stats if cell in owned)

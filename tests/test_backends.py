@@ -28,8 +28,8 @@ from repro.analysis.backends import (BACKENDS, Backend, BatchedBackend,
                                      register_backend, resolve_backend,
                                      resolve_shard, shard_of_key)
 from repro.analysis.parallel import MatrixExecutor, ResultCache, cell_key
-from repro.analysis.sweeps import SweepSpec
-from repro.cli import main
+from repro.analysis.sweeps import SweepSpec, get_sweep
+from repro.cli import _sweep_table, main
 from repro.sim.config import SystemConfig
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -348,8 +348,8 @@ def test_shard_run_merge_reproduces_unsharded_run_and_goldens(tmp_path):
         result = GOLDEN_SPEC.run(jobs=1, cache=ResultCache(shard_dir),
                                  backend=ShardBackend(index, shard_count))
         assert result.simulations_run == len(plan.shard_cells(index))
-        assert result.complete == (len(plan.shard_cells(index))
-                                   == GOLDEN_SPEC.num_cells)
+        assert result.report().complete == (len(plan.shard_cells(index))
+                                            == GOLDEN_SPEC.num_cells)
         executed += result.simulations_run
         shard_dirs.append(shard_dir)
     assert executed == GOLDEN_SPEC.num_cells
@@ -363,7 +363,7 @@ def test_shard_run_merge_reproduces_unsharded_run_and_goldens(tmp_path):
 
     unsharded = GOLDEN_SPEC.run(jobs=1, cache=merged)
     assert unsharded.simulations_run == 0            # (b) all from cache
-    assert unsharded.complete
+    assert unsharded.report().complete
 
     for (protocol, workload), golden in GOLDEN_FILES.items():
         stats = unsharded.stats[(protocol, workload, 4, 0.5)]
@@ -372,21 +372,21 @@ def test_shard_run_merge_reproduces_unsharded_run_and_goldens(tmp_path):
             json.dumps(expected, sort_keys=True), (protocol, workload)  # (c)
 
 
-def test_partial_sweep_result_refuses_mix_aggregation(tmp_path):
-    spec = tiny_sweep(workloads=("fft",))
-    # Hash assignment is not balanced; find a (count, index) that yields a
-    # strict subset of the cells.
-    index = shard_count = None
+def _partial_shard(spec):
+    """A ``(index, count)`` whose shard owns a strict subset of the cells
+    (hash assignment is not balanced, so search for one)."""
     for count in range(2, 6):
         plan = plan_sweep(spec, count)
-        partial = [i for i in range(count)
-                   if 0 < len(plan.shard_cells(i)) < spec.num_cells]
-        if partial:
-            index, shard_count = partial[0], count
-            break
-    assert index is not None, "no partial shard found for the fixture spec"
+        for index in range(count):
+            if 0 < len(plan.shard_cells(index)) < spec.num_cells:
+                return index, count
+    raise AssertionError(f"no partial shard found for {spec.name}")
+
+
+def test_partial_sweep_result_refuses_mix_aggregation(tmp_path):
+    spec = tiny_sweep(workloads=("fft",))
+    index, shard_count = _partial_shard(spec)
     result = spec.run(jobs=1, backend=ShardBackend(index, shard_count))
-    assert not result.complete
     report = result.report()
     assert not report.complete
     # A variant whose (one-workload) mix lost its cell to another shard
@@ -394,10 +394,15 @@ def test_partial_sweep_result_refuses_mix_aggregation(tmp_path):
     present = {protocol for protocol, _, _, _ in result.stats}
     for row in report.mix_table(normalized=False).rows:
         assert (row["cycles"] is None) == (row["protocol"] not in present)
-    # ... while the per-cell grain lists exactly the shard's cells.
+    # ... while the per-cell grain lists exactly the shard's cells, and is
+    # what `repro sweep` prints for a partial result even without
+    # --per-cell.
     cells = report.cell_table().rows
     assert {(row["protocol"], row["workload"], row["cores"], row["scale"])
             for row in cells} == set(result.stats)
+    printed = _sweep_table(report, per_cell=False)
+    assert "workload" in printed.columns
+    assert printed.rows == cells
 
 
 # ------------------------------------------------------------------ CLI
@@ -488,13 +493,18 @@ def test_cli_shard_run_requires_coordinates(capsys):
 
 
 def test_cli_sweep_accepts_shard_flags(tmp_path, capsys):
+    spec = get_sweep("ci-smoke").subset(protocols=["MESI", "TSO-CC-4-12-3"],
+                                        workloads=["fft", "intruder"])
+    index, count = _partial_shard(spec)
     code = main(["sweep", "ci-smoke", "--protocols", "MESI,TSO-CC-4-12-3",
-                 "--workloads", "fft", "--shard-index", "0",
-                 "--shard-count", "2", "--jobs", "1",
+                 "--workloads", "fft,intruder", "--shard-index", str(index),
+                 "--shard-count", str(count), "--jobs", "1",
                  "--cache-dir", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "of 2 cells executed" in out
+    assert "of 4 cells executed" in out
+    # A partial result prints one row per cell, not sums over a holed mix.
+    assert out.splitlines()[1].split()[:2] == ["protocol", "workload"]
 
 
 def test_cli_sweep_rejects_half_specified_shard(capsys):

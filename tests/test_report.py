@@ -152,6 +152,27 @@ def test_figure_views_read_the_same_from_cache(tmp_path):
         assert cached.figure_table(number) == live.figure_table(number)
 
 
+def test_figure_refuses_a_partial_cache(tmp_path):
+    # MESI x intruder never reached the cache: a figure over it would
+    # compare columns (and gmean rows) over unequal workload subsets.
+    spec = figure_spec(protocols=["MESI", "TSO-CC-4-12-3"],
+                       workloads=["fft", "intruder"], cores=2, scale=0.1)
+    cache = ResultCache(tmp_path)
+    spec.subset(protocols=["TSO-CC-4-12-3"]).run(jobs=1, cache=cache)
+    spec.subset(protocols=["MESI"], workloads=["fft"]).run(jobs=1, cache=cache)
+    partial = SpecReport.from_cache(spec, tmp_path)
+    assert partial.num_present == 3
+    for number in (3, 4, 5, 6, 8):
+        with pytest.raises(ValueError, match=r"1 missing: MESI x intruder$"):
+            partial.figure_table(number)
+    # Figures 7 and 9 keep only the self-invalidating protocols, whose
+    # cells are all there.
+    for number in (7, 9):
+        series = partial.figure(number)
+        assert all(set(values) == {"fft", "intruder"}
+                   for values in series.values())
+
+
 def test_sweep_result_report_bridge(warm):
     _, _, result = warm
     report = result.report(baseline="TSO-CC-4-12-3")
