@@ -1,14 +1,17 @@
 """Golden tables: the exact stdout of every table-rendering command.
 
-``tests/goldens/tables/<name>.txt`` pins what fifteen ``repro`` commands
-print, run in-process at ``--jobs 1``:
+``tests/goldens/tables/<name>.txt`` pins what twenty-two ``repro``
+commands print, run in-process at ``--jobs 1``:
 
 * ``figure 2`` … ``figure 9`` on a 2-core platform at scale 0.1 — all seven
   paper configurations x the 16 Table 3 stand-ins.  The figures share one
   result cache, so the matrix is simulated once;
 * ``storage`` with the default and an explicit core axis;
 * five ``sweep`` runs.  They use ``--no-cache``, so the "N simulated"
-  footer does not depend on what an earlier run left behind.
+  footer does not depend on what an earlier run left behind;
+* ``run``, plain and as each shard of two; ``shard plan`` (whose table
+  prints every cell's cache-key prefix and shard) and ``shard run``;
+* ``fuzz run``, complete and as one shard of two.
 
 Every path from simulated cells to a printed table is covered: a refactor
 of the reporting code must leave every file byte-identical.  After an
@@ -30,6 +33,9 @@ GOLDEN_DIR = Path(__file__).parent / "goldens" / "tables"
 
 _FIGURE_PLATFORM = ["--cores", "2", "--scale", "0.1", "--jobs", "1"]
 _SWEEP_FLAGS = ["--jobs", "1", "--no-cache"]
+_RUN = ["run", "fft", "--protocol", "MESI", "--protocol", "TSO-CC-4-12-3",
+        "--cores", "2", "--scale", "0.1"] + _SWEEP_FLAGS
+_FUZZ_RUN = ["fuzz", "run", "fuzz-smoke", "--seeds", "3"] + _SWEEP_FLAGS
 
 #: Golden file stem -> ``repro`` argv.  Figures also get ``--cache-dir``.
 COMMANDS = {
@@ -46,6 +52,18 @@ COMMANDS = {
                                     "--scales", "0.1", "--figure"]
     + _SWEEP_FLAGS,
     "sweep-scenario-smoke": ["sweep", "scenario-smoke"] + _SWEEP_FLAGS,
+    "run-fft": _RUN,
+    "run-fft-shard-0-of-2": _RUN + ["--shard-index", "0", "--shard-count",
+                                    "2"],
+    "run-fft-shard-1-of-2": _RUN + ["--shard-index", "1", "--shard-count",
+                                    "2"],
+    "shard-plan-ci-smoke": ["shard", "plan", "ci-smoke", "--shard-count",
+                            "3"],
+    "shard-run-ci-smoke-1-of-2": ["shard", "run", "ci-smoke", "--shard-index",
+                                  "1", "--shard-count", "2"] + _SWEEP_FLAGS,
+    "fuzz-run-fuzz-smoke": _FUZZ_RUN,
+    "fuzz-run-fuzz-smoke-shard-1-of-2": _FUZZ_RUN + ["--shard-index", "1",
+                                                     "--shard-count", "2"],
 }
 
 
