@@ -8,10 +8,10 @@ pytest session), read its Figures 3–9 views and write the text ``repro
 figure N`` prints to ``benchmarks/results/``, so the numbers can be
 inspected and compared against the paper (see EXPERIMENTS.md).
 
-Independent matrix cells are fanned out over worker processes and persisted
-in the content-addressed result cache under ``benchmarks/results/cache/``,
-so re-running a figure benchmark with an unchanged configuration performs
-zero new simulations.
+Independent matrix cells are fanned out over worker processes, one
+submission per cell, and persisted in the content-addressed result cache
+under ``benchmarks/results/cache/``, so re-running a figure benchmark with
+an unchanged configuration performs zero new simulations.
 
 Environment knobs (all optional):
 
@@ -23,9 +23,6 @@ Environment knobs (all optional):
 * ``REPRO_BENCH_JOBS``      — worker processes for the matrix fan-out
   (default: ``REPRO_JOBS`` or the CPU count)
 * ``REPRO_BENCH_CACHE``     — set to ``0`` to bypass the on-disk result cache
-* ``REPRO_BENCH_BACKEND``   — execution backend for the fan-out
-  (``local``/``batched``; default: ``REPRO_BACKEND`` or ``local`` — see
-  ``repro/analysis/backends/``)
 """
 
 from __future__ import annotations
@@ -48,15 +45,13 @@ def _env_list(name: str):
 
 
 def _executor_knobs():
-    """Worker-count, cache and backend settings shared by every session
-    fixture (``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_CACHE`` /
-    ``REPRO_BENCH_BACKEND``)."""
+    """Worker-count and cache settings shared by every session fixture
+    (``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_CACHE``)."""
     jobs_env = os.environ.get("REPRO_BENCH_JOBS", "").strip()
     jobs = int(jobs_env) if jobs_env else None
     cache_enabled = os.environ.get("REPRO_BENCH_CACHE", "1").lower() not in (
         "0", "false", "no")
-    backend = os.environ.get("REPRO_BENCH_BACKEND", "").strip() or None
-    return jobs, ResultCache(RESULTS_DIR / "cache", enabled=cache_enabled), backend
+    return jobs, ResultCache(RESULTS_DIR / "cache", enabled=cache_enabled)
 
 
 @pytest.fixture(scope="session")
@@ -70,8 +65,8 @@ def bench_report() -> SpecReport:
         cores=int(os.environ.get("REPRO_BENCH_CORES", "8")),
         scale=float(os.environ.get("REPRO_BENCH_SCALE", "0.35")),
     )
-    jobs, cache, backend = _executor_knobs()
-    return spec.run(jobs=jobs, cache=cache, backend=backend).report()
+    jobs, cache = _executor_knobs()
+    return spec.run(jobs=jobs, cache=cache).report()
 
 
 @pytest.fixture(scope="session")
@@ -92,10 +87,10 @@ def run_sweep():
     plumbing."""
     from repro.analysis.sweeps import get_sweep
 
-    jobs, cache, backend = _executor_knobs()
+    jobs, cache = _executor_knobs()
 
     def _run(name: str):
-        result = get_sweep(name).run(jobs=jobs, cache=cache, backend=backend)
+        result = get_sweep(name).run(jobs=jobs, cache=cache)
         return result.report().mix_table(normalized=False)
 
     return _run

@@ -44,7 +44,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(Path(tmp) / "cache")
         result = campaign.run(jobs=args.jobs, cache=cache)
-        print(result.tabulate())
+        print(result.report().mix_table(normalized=False).render())
         print(f"cold run: {result.simulations_run} simulated")
         warm = campaign.run(jobs=args.jobs, cache=cache)
         print(f"warm run: {warm.simulations_run} simulated "

@@ -53,7 +53,7 @@ def main() -> None:
         print(f"simulated {result.simulations_run} cells\n")
 
         # The report is rebuilt from the cache alone — same numbers as the
-        # live SweepResult, plus <metric>_speedup columns and a geomean row.
+        # live run's result, plus <metric>_speedup columns and a geomean row.
         report = SpecReport.from_cache(spec, cache_dir)
         assert report.complete
         print(report.mix_table().render())

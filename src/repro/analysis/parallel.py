@@ -2,21 +2,22 @@
 
 The paper's evaluation is a full workload x protocol-configuration matrix
 whose cells are completely independent simulations, i.e. embarrassingly
-parallel.  This module provides the execution subsystem underneath
-:meth:`~repro.analysis.sweeps.SweepSpec.run` (``repro figure``/``sweep``,
-``benchmarks/``) and ``repro run``:
+parallel.  This module is the one code path that executes cells, for
+``repro run``/``figure``/``sweep``/``shard run``/``fuzz run``,
+``benchmarks/`` and the examples:
 
 * :func:`simulate_cell` — runs ONE (workload, protocol) cell from picklable
   inputs (a :class:`~repro.sim.config.SystemConfig` plus names/scalars) and
   returns the JSON-serializable ``SystemStats.to_dict()`` payload.  This is
   the function shipped to worker processes.
-* :class:`MatrixExecutor` — resolves cells through the cache and hands the
-  misses to a pluggable **execution backend**
-  (:mod:`repro.analysis.backends`: ``local`` process pool, ``batched``
-  per-worker chunks, ``shard`` for multi-machine partitioning), then
-  reassembles :class:`~repro.sim.stats.SystemStats` objects on the parent
-  side.  Worker count comes from ``jobs``, the ``REPRO_JOBS`` environment
-  variable, or ``os.cpu_count()``.
+* :class:`MatrixExecutor` — looks every cell up in the cache, keeps the
+  misses its shard owns (:mod:`repro.analysis.shard`; ``REPRO_SHARD``
+  shards any run), and runs them inline or in one process pool with one
+  submission per cell.  Worker count comes from ``jobs``, the
+  ``REPRO_JOBS`` environment variable, or ``os.cpu_count()``.
+* :class:`MatrixSpec` — what sweeps and fuzz campaigns share: one
+  ``run()`` that groups a spec's cells by platform point, runs one
+  executor per point and returns a :class:`SpecResult`.
 * :class:`ResultCache` — a content-addressed on-disk cache (default location
   ``benchmarks/results/cache/``).  The key is the SHA-256 of the canonical
   JSON of (system configuration, protocol name, workload name, scale,
@@ -38,8 +39,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION, SystemStats
@@ -148,7 +149,7 @@ class CellKind:
     """What one matrix cell *computes* — the work function and its payload
     contract.
 
-    The executor/backend/cache machinery is agnostic to what a cell
+    The executor/cache/shard machinery is agnostic to what a cell
     produces: a kind bundles the picklable module-level ``simulate``
     function shipped to workers, the ``decode`` that reconstructs a result
     object from a cached JSON payload, and the payload ``schema`` version
@@ -266,7 +267,7 @@ def cell_key(config: SystemConfig, protocol: str, workload_name: str,
     The key is host-independent — a pure function of the experiment inputs
     and the schema versions — which is what makes both the on-disk cache
     shareable across machines and the shard planner
-    (:mod:`repro.analysis.backends.shard`) coordinator-free.  Non-default
+    (:mod:`repro.analysis.shard`) coordinator-free.  Non-default
     cell kinds mix their name and payload schema into the key (the default
     ``"stats"`` kind leaves the key payload exactly as it has always been,
     so every pre-existing cache entry and shard assignment stays valid).
@@ -523,18 +524,19 @@ class MatrixExecutor:
         jobs: worker-process count (``None`` → ``REPRO_JOBS`` env var →
             ``os.cpu_count()``).  ``1`` runs everything in-process.
         cache: optional :class:`ResultCache`; ``None`` disables persistence.
-        backend: how cache misses are executed — a registered backend name
-            (``local``, ``batched``, ``shard``), a
-            :class:`~repro.analysis.backends.Backend` instance, or ``None``
-            (``REPRO_BACKEND`` env var → ``local``).  A shard backend
-            executes only its own subset of the cells; see
-            :mod:`repro.analysis.backends`.
+        shard: ``(index, count)`` — run only the cache misses whose key
+            that shard owns (:func:`~repro.analysis.shard.shard_of_key`);
+            ``None`` reads ``REPRO_SHARD`` and, when it is unset, runs every
+            miss.
         kind: the :class:`CellKind` this executor's cells compute (name or
-            instance; default ``"stats"``).  Backends execute through
+            instance; default ``"stats"``).  Cells run through
             ``kind.simulate``, cache entries validate against
             ``kind.schema``, and results decode through ``kind.decode`` —
             the execution/caching/sharding machinery is identical for
             every kind.
+        backend: accepts only ``"local"``, the one way cells run.  The
+            keyword stays for its last caller, the host-time benchmark's
+            ``bench/worker.py``.
 
     Attributes:
         simulations_run: number of cells actually simulated (cache misses)
@@ -549,17 +551,23 @@ class MatrixExecutor:
         max_cycles: int = 200_000_000,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        backend: Union[None, str, "Backend"] = None,
+        shard: Optional[Tuple[int, int]] = None,
         kind: Union[str, CellKind] = "stats",
+        backend: str = "local",
     ) -> None:
-        from repro.analysis.backends import resolve_backend
+        from repro.analysis.shard import resolve_shard
 
+        # bench/worker.py passes backend="local"; nothing else does.
+        if backend != "local":
+            raise ValueError(
+                f"unknown backend {backend!r}; cells run only 'local'")
         self.system_config = system_config
         self.scale = scale
         self.max_cycles = max_cycles
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.backend = resolve_backend(backend)
+        self.shard = (resolve_shard(*shard) if shard is not None
+                      else resolve_shard())
         self.kind = get_cell_kind(kind)
         self.simulations_run = 0
 
@@ -577,19 +585,70 @@ class MatrixExecutor:
         if self.cache is not None and key is not None:
             self.cache.put(key, payload)
 
+    def _owns(self, protocol: str, workload_name: str,
+              key: Optional[str]) -> bool:
+        """Whether this executor's shard runs the cell (always, unsharded)."""
+        if self.shard is None:
+            return True
+        from repro.analysis.shard import shard_of_key
+
+        # A disabled cache leaves the key unset; the assignment needs it
+        # regardless, and computing one is pure and cheap.
+        key = key or cell_key(self.system_config, protocol, workload_name,
+                              self.scale, self.max_cycles, kind=self.kind)
+        index, count = self.shard
+        return shard_of_key(key, count) == index
+
     # ------------------------------------------------------------------ running
+
+    def _simulate(self, pending: List[Tuple[str, str, Optional[str]]]
+                  ) -> Iterator[Tuple[int, object]]:
+        """Run every pending cell; yield ``(index into pending, payload or
+        WorkloadValidationError)`` in completion order.  Other exceptions
+        propagate."""
+        args = (self.scale, self.max_cycles)
+        simulate = self.kind.simulate
+        if self.jobs == 1 or len(pending) <= 1:
+            for index, (protocol, workload_name, _) in enumerate(pending):
+                try:
+                    outcome = simulate(self.system_config, protocol,
+                                       workload_name, *args)
+                except WorkloadValidationError as exc:
+                    outcome = exc
+                yield index, outcome
+            return
+
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        with ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(pending))) as pool:
+            futures = {
+                pool.submit(simulate, self.system_config, protocol,
+                            workload_name, *args): index
+                for index, (protocol, workload_name, _) in enumerate(pending)
+            }
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except WorkloadValidationError as exc:
+                    outcome = exc
+                yield futures[future], outcome
 
     def run_cells(
         self, cells: Sequence[Tuple[str, str]]
     ) -> Dict[Tuple[str, str], SystemStats]:
         """Run many ``(protocol, workload)`` cells, parallelizing the misses.
 
-        Cached cells are served from disk; the remainder are handed to the
-        execution backend (the default ``local`` backend fans them out over
-        a process pool, or runs inline when ``jobs == 1`` or only one cell
-        is missing).  Returns a dict keyed by the ``(protocol, workload)``
-        pair; a shard backend executes — and returns — only the cells of
-        its shard.
+        Cached cells are served from disk; a miss outside this executor's
+        shard is skipped; the other misses run inline when ``jobs == 1`` or
+        at most one is pending, else in a process pool with one submission
+        per cell.  Returns a dict keyed by the ``(protocol, workload)`` pair —
+        under a shard, only the hits and the shard's own cells.
+
+        Raises:
+            WorkloadValidationError: the earliest failing cell's, in the
+                order ``cells`` gives them — but only after every pending
+                cell ran and every valid payload was cached.
         """
         results: Dict[Tuple[str, str], SystemStats] = {}
         pending: List[Tuple[str, str, Optional[str]]] = []
@@ -597,23 +656,131 @@ class MatrixExecutor:
             key, payload = self._lookup(protocol, workload_name)
             if payload is not None:
                 results[(protocol, workload_name)] = self.kind.decode(payload)
-            else:
+            elif self._owns(protocol, workload_name, key):
                 pending.append((protocol, workload_name, key))
 
-        if not pending:
-            if self.cache is not None:
-                self.cache.flush_index()
-            return results
-
+        failures: Dict[int, WorkloadValidationError] = {}
         try:
-            for (protocol, workload_name, key), payload in \
-                    self.backend.run(self, pending):
+            for index, outcome in self._simulate(pending):
+                if isinstance(outcome, WorkloadValidationError):
+                    failures[index] = outcome
+                    continue
+                protocol, workload_name, key = pending[index]
                 self.simulations_run += 1
-                self._store(key, payload)
-                results[(protocol, workload_name)] = self.kind.decode(payload)
+                self._store(key, outcome)
+                results[(protocol, workload_name)] = self.kind.decode(outcome)
         finally:
             # Index records buffered by put/get must survive a failing cell
             # (the valid siblings were cached; their metadata should be too).
             if self.cache is not None:
                 self.cache.flush_index()
+        if failures:
+            raise failures[min(failures)]
         return results
+
+
+class MatrixSpec:
+    """What sweeps and fuzz campaigns share: a named cell expansion that
+    runs through :class:`MatrixExecutor`.
+
+    Subclasses (:class:`~repro.analysis.sweeps.SweepSpec`,
+    :class:`~repro.consistency.fuzz.FuzzCampaign`) provide ``name``,
+    ``protocols``, ``max_cycles`` and ``cells()`` — the ``(cores, scale,
+    protocol, workload)`` expansion in deterministic order — and may
+    override the class attributes below.
+    """
+
+    #: Cell kind the spec's cells compute (:class:`CellKind` name).
+    cell_kind = "stats"
+    #: What messages call the spec.
+    noun = "sweep"
+
+    def check_protocols(self) -> None:
+        """Raise ``KeyError`` naming every protocol of the spec that is
+        not registered — before any cell runs or any manifest is written.
+        """
+        from repro.protocols.registry import list_protocol_names
+
+        known = set(list_protocol_names())
+        unknown = [p for p in self.protocols if p not in known]
+        if unknown:
+            raise KeyError(
+                f"{self.noun} {self.name!r} references unregistered "
+                f"protocols: {', '.join(unknown)}")
+
+    def run(self, jobs: Optional[int] = None,
+            cache: Optional[ResultCache] = None,
+            shard: Optional[Tuple[int, int]] = None) -> "SpecResult":
+        """Execute every cell, one :class:`MatrixExecutor` per platform
+        point ``(cores, scale)``, since the platform and the scale are part
+        of the cache key.
+
+        Args:
+            jobs: worker-process count per platform point.
+            cache: optional on-disk result cache shared by every cell.
+            shard: ``(index, count)`` to run one shard (``None``: the
+                ``REPRO_SHARD`` environment variable, else every cell).
+                The result is then partial: its report's ``complete`` is
+                ``False``.
+
+        Raises:
+            KeyError: if a protocol name is not registered.
+            ValueError: on malformed shard coordinates.
+            WorkloadValidationError: if any stats cell produces
+                functionally invalid results (protocol correctness bug).
+        """
+        self.check_protocols()
+        platforms: Dict[Tuple[int, float], List[Tuple[str, str]]] = {}
+        for cores, scale, protocol, workload in self.cells():
+            platforms.setdefault((cores, scale), []).append(
+                (protocol, workload))
+        cells: Dict[Tuple[str, str, int, float], object] = {}
+        simulations = 0
+        for (cores, scale), platform_cells in platforms.items():
+            executor = MatrixExecutor(
+                SystemConfig().scaled(num_cores=cores),
+                scale=scale,
+                max_cycles=self.max_cycles,
+                jobs=jobs,
+                cache=cache,
+                shard=shard,
+                kind=self.cell_kind,
+            )
+            for (protocol, workload), decoded in \
+                    executor.run_cells(platform_cells).items():
+                cells[(protocol, workload, cores, scale)] = decoded
+            simulations += executor.simulations_run
+        return SpecResult(spec=self, cells=cells, simulations_run=simulations)
+
+
+@dataclass
+class SpecResult:
+    """An executed :class:`MatrixSpec`: decoded cells; :meth:`report`
+    tabulates them.
+
+    A sharded run yields a *partial* result: ``cells`` holds only the
+    shard's cells (plus whatever the cache already had).  The report's
+    ``complete`` tells the two apart; its per-mix aggregations refuse to
+    sum over holes.
+
+    Attributes:
+        spec: the spec that was run.
+        cells: ``(protocol, workload, cores, scale)`` -> decoded result
+            (:class:`~repro.sim.stats.SystemStats` or
+            :class:`~repro.consistency.fuzz.FuzzCellResult`).
+        simulations_run: cells actually simulated (the rest came from the
+            result cache).
+    """
+
+    spec: MatrixSpec
+    cells: Dict[Tuple[str, str, int, float], object]
+    simulations_run: int = 0
+
+    def report(self, baseline: Optional[str] = None):
+        """A :class:`~repro.analysis.report.SpecReport` over these cells
+        (the pipeline ``repro report`` runs over the cache, so live and
+        cache-side tables agree by construction); ``baseline`` defaults
+        to the spec's."""
+        from repro.analysis.report import SpecReport
+
+        return SpecReport.from_stats(self.spec, self.cells, baseline=baseline)

@@ -16,12 +16,12 @@ here re-simulates — a report is a pure function of the cache tree.
 Three public surfaces (all behind the ``repro report`` CLI family):
 
 * :class:`SpecReport` — aggregate one spec's cells (from the cache *or* an
-  in-memory :class:`~repro.analysis.sweeps.SweepResult`) into mix tables
+  in-memory :class:`~repro.analysis.parallel.SpecResult`) into mix tables
   with ``<field>_speedup`` columns vs the spec's baseline variant, geomean
   rows, per-axis figure pivots and the paper's Figures 3–9
   (:data:`FIGURES`).  ``repro figure``, ``repro sweep``, ``repro shard
-  run``, ``repro report`` and ``benchmarks/`` all render through it, so
-  cache-side reports reproduce live tables exactly.
+  run``, ``repro fuzz run``, ``repro report`` and ``benchmarks/`` all
+  render through it, so cache-side reports reproduce live tables exactly.
 * :func:`gather_cells` — filter every cached cell (any kind) into a
   :class:`ReportTable` for ad-hoc cross-run analysis.
 * :func:`diff_snapshots` — classify two cache trees cell-by-cell into
@@ -47,6 +47,7 @@ from repro.analysis.cache_index import indexed_kinds, iter_entry_files
 from repro.analysis.parallel import (CellKind, ReportField, ResultCache,
                                      get_cell_kind, payload_is_current,
                                      report_fields)
+from repro.analysis.shard import plan_sweep
 from repro.analysis.tables import format_series_table, format_table
 
 #: Rendering of a missing value (baseline in another shard, cell not yet
@@ -323,15 +324,16 @@ class SpecReport:
     Build it :meth:`from_cache` (pure cache read, no simulation — missing
     cells become ``—``, and :meth:`figure` refuses them) or
     :meth:`from_stats` (an in-memory
-    :class:`~repro.analysis.sweeps.SweepResult`'s payload dict).  Both
+    :class:`~repro.analysis.parallel.SpecResult`'s decoded cells).  Both
     paths extract the spec's declared fields once per cell and aggregate
     identically, which is what makes ``repro report sweep`` reproduce
     ``repro sweep`` tables value-for-value.
 
     Attributes:
-        spec: the reported spec (``SweepSpec`` surface: ``name``,
-            ``description``, axis tuples, ``cells()``; fuzz campaigns
-            report through here too).
+        spec: the reported spec (the
+            :class:`~repro.analysis.parallel.MatrixSpec` surface:
+            ``name``, ``description``, ``cells()`` and optionally
+            ``cell_kind`` — sweeps and fuzz campaigns alike).
         cells: ``(protocol, workload, cores, scale)`` -> decoded cell, for
             the cells present (the paper's figures extract from these).
         baseline: protocol name normalized columns divide against
@@ -397,8 +399,6 @@ class SpecReport:
         """Aggregate whatever the cache holds for ``spec`` — a pure read
         (never simulates, never mutates the tree); absent or invalid
         entries leave holes reported as ``—``."""
-        from repro.analysis.backends.shard import plan_sweep
-
         root = _cache_root(cache)
         kind = get_cell_kind(getattr(spec, "cell_kind", "stats"))
         cells: Dict[Tuple[str, str, int, float], object] = {}
@@ -416,7 +416,7 @@ class SpecReport:
     def from_stats(cls, spec,
                    stats: Mapping[Tuple[str, str, int, float], object],
                    baseline: Optional[str] = None) -> "SpecReport":
-        """Wrap an in-memory result (``SweepResult.stats``-shaped mapping
+        """Wrap an in-memory result (``SpecResult.cells``-shaped mapping
         of decoded objects) in the same aggregation pipeline."""
         if baseline is None:
             baseline = getattr(spec, "baseline", None)

@@ -75,7 +75,7 @@ def build_request_config(body: Dict[str, object]) -> SystemConfig:
     """Resolve the platform configuration named by a ``/lookup`` body.
 
     ``"config"`` (explicit field dict) wins over ``"cores"`` (the standard
-    scaled preset, matching :func:`~repro.analysis.backends.shard.plan_sweep`).
+    scaled preset, matching :func:`~repro.analysis.shard.plan_sweep`).
 
     Raises:
         LookupError_: on unknown config fields, invalid values, or a body

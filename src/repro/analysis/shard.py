@@ -13,16 +13,18 @@ tiny cell lists can shard unevenly, and a shard may legitimately be empty.)
 
 Three pieces build on that function:
 
-* :class:`ShardBackend` — a :class:`~repro.analysis.backends.Backend` that
-  filters the pending cells down to one shard and delegates execution to an
-  inner backend (``local`` by default).
-* :func:`plan_sweep` / :class:`ShardPlan` — expands a
-  :class:`~repro.analysis.sweeps.SweepSpec` into per-shard **manifests**
-  (JSON cell lists with their keys) for inspection or for driving CI
-  matrices (``repro shard plan``).
+* :func:`resolve_shard` — the ``(index, count)`` a run executes, from
+  ``--shard-index``/``--shard-count`` or ``REPRO_SHARD``.  A
+  :class:`~repro.analysis.parallel.MatrixExecutor` given a shard runs only
+  the cache misses that shard owns.
+* :func:`plan_sweep` / :class:`ShardPlan` — expands a spec (a
+  :class:`~repro.analysis.sweeps.SweepSpec` or a
+  :class:`~repro.consistency.fuzz.FuzzCampaign`) into per-shard
+  **manifests** (JSON cell lists with their keys) for inspection or for
+  driving CI matrices (``repro shard plan``).
 * :func:`merge_results` / :func:`missing_cells` — reassemble per-shard
   result directories into one :class:`~repro.analysis.parallel.ResultCache`
-  and verify a sweep is fully covered (``repro shard merge``).
+  and verify a spec is fully covered (``repro shard merge``).
 
 See the "Sharding a sweep across machines/CI" guide in EXPERIMENTS.md.
 """
@@ -30,13 +32,15 @@ See the "Sharding a sweep across machines/CI" guide in EXPERIMENTS.md.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.analysis.backends import (Backend, CellResult, PendingCell,
-                                     register_backend, resolve_shard)
+from repro.analysis.parallel import (CACHE_SCHEMA_VERSION, cell_key,
+                                     payload_is_current)
+from repro.sim.config import SystemConfig
+from repro.sim.stats import STATS_SCHEMA_VERSION
 
 
 def shard_of_key(key: str, shard_count: int) -> int:
@@ -47,50 +51,37 @@ def shard_of_key(key: str, shard_count: int) -> int:
     return int(key, 16) % shard_count
 
 
-@register_backend
-class ShardBackend(Backend):
-    """Execute only the cells of one shard; delegate to an inner backend.
+def resolve_shard(shard_index: Optional[int] = None,
+                  shard_count: Optional[int] = None,
+                  ) -> Optional[Tuple[int, int]]:
+    """Resolve shard coordinates: explicit arguments, else the
+    ``REPRO_SHARD`` environment variable (``<index>/<count>``), else
+    ``None`` (unsharded).
 
-    Args:
-        shard_index: this invocation's shard, in ``[0, shard_count)``.
-        shard_count: total number of shards the cell list is split into.
-        inner: backend that executes the shard's cells
-            (default: :class:`~repro.analysis.backends.local.LocalBackend`).
+    Raises:
+        ValueError: on a half-specified pair, a malformed ``REPRO_SHARD``,
+            or an index outside ``[0, count)``.
     """
-
-    name = "shard"
-
-    def __init__(self, shard_index: int, shard_count: int,
-                 inner: Optional[Backend] = None) -> None:
-        resolved = resolve_shard(shard_index, shard_count)
-        assert resolved is not None
-        self.shard_index, self.shard_count = resolved
-        if inner is None:
-            from repro.analysis.backends.local import LocalBackend
-            inner = LocalBackend()
-        if isinstance(inner, ShardBackend):
-            raise ValueError("shard backends do not nest")
-        self.inner = inner
-
-    def owns(self, key: str) -> bool:
-        """Whether this shard executes the cell with cache key ``key``."""
-        return shard_of_key(key, self.shard_count) == self.shard_index
-
-    def run(self, executor, pending: List[PendingCell]) -> Iterator[CellResult]:
-        from repro.analysis.parallel import cell_key
-
-        mine = []
-        for protocol, workload_name, key in pending:
-            # A disabled cache leaves keys unset; the assignment needs them
-            # regardless, and computing one is pure and cheap.
-            resolved_key = key or cell_key(executor.system_config, protocol,
-                                           workload_name, executor.scale,
-                                           executor.max_cycles,
-                                           kind=executor.kind)
-            if self.owns(resolved_key):
-                mine.append((protocol, workload_name, key))
-        if mine:
-            yield from self.inner.run(executor, mine)
+    if shard_index is None and shard_count is None:
+        env = os.environ.get("REPRO_SHARD", "").strip()
+        if not env:
+            return None
+        try:
+            index_str, count_str = env.split("/")
+            shard_index, shard_count = int(index_str), int(count_str)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_SHARD must look like '<index>/<count>' "
+                f"(e.g. '0/4'), got {env!r}") from None
+    if shard_index is None or shard_count is None:
+        raise ValueError(
+            "--shard-index and --shard-count must be given together")
+    if shard_count < 1:
+        raise ValueError(f"shard count must be >= 1, got {shard_count}")
+    if not 0 <= shard_index < shard_count:
+        raise ValueError(
+            f"shard index {shard_index} outside [0, {shard_count})")
+    return shard_index, shard_count
 
 
 # ---------------------------------------------------------------------- planning
@@ -131,9 +122,6 @@ class ShardPlan:
 
     def manifest(self, shard_index: int) -> Dict[str, object]:
         """The JSON-serializable manifest for one shard."""
-        from repro.analysis.parallel import CACHE_SCHEMA_VERSION
-        from repro.sim.stats import STATS_SCHEMA_VERSION
-
         return {
             "sweep": self.sweep,
             "shard_index": shard_index,
@@ -165,17 +153,14 @@ class ShardPlan:
 
 
 def plan_sweep(spec, shard_count: int) -> ShardPlan:
-    """Partition a sweep's cell expansion into ``shard_count`` shards.
+    """Partition a spec's cell expansion into ``shard_count`` shards.
 
-    Accepts any object with the :class:`~repro.analysis.sweeps.SweepSpec`
+    Accepts any object with the :class:`~repro.analysis.parallel.MatrixSpec`
     surface (``name``, ``cells()``, ``max_cycles``, and optionally
-    ``cell_kind`` — fuzz campaigns plan through here too).  The plan is
+    ``cell_kind``): sweeps and fuzz campaigns plan alike.  The plan is
     fully deterministic: the same spec and shard count yield the same
     manifests on every machine.
     """
-    from repro.analysis.parallel import cell_key
-    from repro.sim.config import SystemConfig
-
     kind = getattr(spec, "cell_kind", "stats")
     cells = []
     for cores, scale, protocol, workload in spec.cells():
@@ -208,8 +193,6 @@ def _valid_entry(path: Path) -> bool:
     for its own cell kind.  A corrupt or stale entry must not satisfy a
     merge or completeness check — ``ResultCache.get`` would treat it as a
     miss."""
-    from repro.analysis.parallel import payload_is_current
-
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         return payload_is_current(payload)
@@ -242,8 +225,6 @@ def merge_results(sources: Iterable[Union[str, Path]], dest) -> MergeReport:
         OSError: if the destination becomes unwritable mid-merge
             (``ResultCache.put`` disables itself on write errors).
     """
-    from repro.analysis.parallel import payload_is_current
-
     if not dest.enabled:
         raise ValueError(
             f"destination cache at {dest.root} is disabled; merging into "

@@ -13,10 +13,10 @@ mix.  A :class:`SweepSpec` declares such a study as data::
         metrics=("cycles", "self_invalidations", "ts_resets"),
     )
 
-and :meth:`SweepSpec.run` expands the axes (protocol variant × workload ×
-cores × scale) into the parallel, cache-backed
-:class:`~repro.analysis.parallel.MatrixExecutor`.  Because every axis point
-is a *registered, named* protocol configuration
+and ``SweepSpec.run`` (:meth:`~repro.analysis.parallel.MatrixSpec.run`)
+expands the axes (protocol variant × workload × cores × scale) into the
+parallel, cache-backed :class:`~repro.analysis.parallel.MatrixExecutor`.
+Because every axis point is a *registered, named* protocol configuration
 (:mod:`repro.protocols.tsocc.variants`), sweep cells ship to worker
 processes and persist in the content-addressed result cache exactly like
 paper-figure cells — re-running an unchanged sweep performs zero new
@@ -38,15 +38,13 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.parallel import (MatrixExecutor, ReportField, ResultCache,
+from repro.analysis.parallel import (MatrixSpec, ReportField,
                                      declare_report_fields)
-from repro.analysis.report import FIGURE_BASELINE, SpecReport
-from repro.protocols.registry import (PAPER_CONFIGURATIONS,
-                                      list_protocol_names, variant_group)
-from repro.sim.config import SystemConfig
+from repro.analysis.report import FIGURE_BASELINE
+from repro.protocols.registry import PAPER_CONFIGURATIONS, variant_group
 from repro.sim.stats import SystemStats
 from repro.workloads.benchmarks import benchmark_names
 from repro.workloads.catalog import canonical_workload_name
@@ -93,8 +91,9 @@ STATS_REPORT_FIELDS = declare_report_fields("stats", [
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One declarative sensitivity sweep.
+class SweepSpec(MatrixSpec):
+    """One declarative sensitivity sweep; ``run()`` comes from
+    :class:`~repro.analysis.parallel.MatrixSpec`.
 
     Attributes:
         name: registry key (``repro sweep <name>``).
@@ -212,93 +211,6 @@ class SweepSpec:
             workloads=tuple(workloads) if workloads else self.workloads,
             cores=tuple(cores) if cores else self.cores,
             scales=tuple(scales) if scales else self.scales,
-        )
-
-    # ------------------------------------------------------------------ running
-
-    def run(self, jobs: Optional[int] = None,
-            cache: Optional[ResultCache] = None,
-            backend=None) -> "SweepResult":
-        """Expand and execute every cell through the cached, parallel
-        :class:`MatrixExecutor` (one executor per platform point, since the
-        platform configuration and scale are part of the cache key).
-
-        Args:
-            jobs: worker-process count per platform point.
-            cache: optional on-disk result cache shared by every cell.
-            backend: execution-backend name or instance forwarded to the
-                :class:`MatrixExecutor` (see :mod:`repro.analysis.backends`).
-                A shard backend executes only its own subset of the cells,
-                leaving the :class:`SweepResult` partial (its report's
-                ``complete`` is ``False``).
-
-        Raises:
-            KeyError: if a protocol name is not registered.
-            WorkloadValidationError: if any cell produces functionally
-                invalid results (protocol correctness bug).
-        """
-        from repro.analysis.backends import resolve_backend
-
-        known = set(list_protocol_names())
-        missing = [p for p in self.protocols if p not in known]
-        if missing:
-            raise KeyError(
-                f"sweep {self.name!r} references unregistered protocols: "
-                f"{', '.join(missing)}"
-            )
-        backend = resolve_backend(backend)
-        workloads = self.resolved_workloads()
-        stats: Dict[Tuple[str, str, int, float], SystemStats] = {}
-        simulations = 0
-        for cores in self.cores:
-            for scale in self.scales:
-                executor = MatrixExecutor(
-                    SystemConfig().scaled(num_cores=cores),
-                    scale=scale,
-                    max_cycles=self.max_cycles,
-                    jobs=jobs,
-                    cache=cache,
-                    backend=backend,
-                )
-                cell_stats = executor.run_cells(
-                    [(protocol, workload)
-                     for protocol in self.protocols
-                     for workload in workloads]
-                )
-                simulations += executor.simulations_run
-                for (protocol, workload), cell in cell_stats.items():
-                    stats[(protocol, workload, cores, scale)] = cell
-        return SweepResult(spec=self, stats=stats, simulations_run=simulations)
-
-
-@dataclass
-class SweepResult:
-    """Executed sweep: per-cell statistics; :meth:`report` tabulates them.
-
-    A sharded execution (``SweepSpec.run(backend=ShardBackend(...))``)
-    yields a *partial* result: ``stats`` holds only the shard's cells (plus
-    whatever the cache already had).  The report's ``complete`` tells the
-    two apart; its per-mix aggregations refuse to sum over holes.
-
-    Attributes:
-        spec: the sweep that was run.
-        stats: ``(protocol, workload, cores, scale) -> SystemStats``.
-        simulations_run: cells actually simulated (the rest came from the
-            result cache).
-    """
-
-    spec: SweepSpec
-    stats: Dict[Tuple[str, str, int, float], SystemStats]
-    simulations_run: int = 0
-
-    def report(self, baseline: Optional[str] = None) -> SpecReport:
-        """Build a :class:`repro.analysis.report.SpecReport` from this
-        in-memory result (same aggregation pipeline ``repro report`` runs
-        over the cache, so live and cache-side tables agree by
-        construction)."""
-        return SpecReport.from_stats(
-            self.spec, self.stats,
-            baseline=baseline if baseline is not None else self.spec.baseline,
         )
 
 

@@ -38,15 +38,14 @@ Every sub-command prints a plain-text table (the same renderers the
 benchmark harness uses) and exits non-zero if a correctness check fails
 (invalid workload results or a forbidden litmus outcome).
 
-The experiment commands (``run``, ``figure``, ``sweep``) fan independent
-simulations out over worker processes (``--jobs``, default from
-``REPRO_JOBS`` or the CPU count) through a pluggable execution backend
-(``--backend`` / ``REPRO_BACKEND``: ``local``, ``batched`` or ``shard``
-with ``--shard-index``/``--shard-count`` / ``REPRO_SHARD``), and reuse
+The experiment commands (``run``, ``figure``, ``sweep``, ``fuzz run``)
+fan independent simulations out over worker processes (``--jobs``, default
+from ``REPRO_JOBS`` or the CPU count), one submission per cell, and reuse
 previously simulated cells from the on-disk result cache in
-``benchmarks/results/cache/`` unless ``--no-cache`` is given.  The
-``shard`` sub-command plans, runs and merges multi-machine/CI shards of a
-registered sweep; see EXPERIMENTS.md.
+``benchmarks/results/cache/`` unless ``--no-cache`` is given.
+``--shard-index``/``--shard-count`` (or ``REPRO_SHARD=<index>/<count>``)
+run only one shard of the cells.  The ``shard`` sub-command plans, runs and
+merges multi-machine/CI shards of a registered sweep; see EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.backends import (ShardBackend, list_backend_names,
-                                     make_backend, merge_results,
-                                     missing_cells, plan_sweep,
-                                     resolve_backend, resolve_shard)
 from repro.analysis.cache_index import CacheIndex, collect_garbage
 from repro.analysis.parallel import (DEFAULT_CACHE_DIR, MatrixExecutor,
                                      ResultCache, WorkloadValidationError,
@@ -70,12 +65,14 @@ from repro.analysis.report import (FIGURE2_CORES, FIGURE2_TITLE, FIGURES,
                                    ReportTable, SpecReport, diff_snapshots,
                                    gather_cells, render_dashboard,
                                    render_table)
+from repro.analysis.shard import (merge_results, missing_cells, plan_sweep,
+                                  resolve_shard)
 from repro.analysis.sweeps import (SWEEPS, SweepSpec, figure_spec, get_sweep,
                                    list_sweeps)
 from repro.analysis.tables import format_series_table, format_table, protocol_rows
 from repro.consistency import canonical_tests, generate_random_test, verify_litmus
-from repro.consistency.fuzz import (format_test, get_campaign, list_campaigns,
-                                    replay_cell, shrink_cell)
+from repro.consistency.fuzz import (failing_cells, format_test, get_campaign,
+                                    list_campaigns, replay_cell, shrink_cell)
 from repro.protocols.registry import list_protocol_names
 from repro.protocols.storage import StorageModel
 from repro.protocols.tsocc.config import PAPER_TSOCC_CONFIGS
@@ -123,32 +120,6 @@ def _make_cache(args: argparse.Namespace) -> ResultCache:
     return ResultCache(Path(args.cache_dir), enabled=not args.no_cache)
 
 
-def _make_backend(args: argparse.Namespace):
-    """Build the execution backend from ``--backend`` and the shard flags.
-
-    Returns a backend specification for ``MatrixExecutor``/``SweepSpec.run``
-    (an instance, a name, or ``None`` to defer to ``REPRO_BACKEND``).
-    Explicit shard coordinates wrap the chosen backend — flag, else
-    ``REPRO_BACKEND``, else ``local`` — in a :class:`ShardBackend`.
-
-    Raises:
-        ValueError: on half-specified shard coordinates or ``--backend
-            shard`` without resolvable coordinates.
-        KeyError: on an unknown ``REPRO_BACKEND`` name.
-    """
-    name = getattr(args, "backend", None)
-    shard = resolve_shard(getattr(args, "shard_index", None),
-                          getattr(args, "shard_count", None))
-    if shard is not None:
-        return ShardBackend(*shard,
-                            inner=resolve_backend(name, wrap_shard=False))
-    if name == "shard":
-        # No explicit coordinates; make_backend falls back to REPRO_SHARD
-        # and raises a clear error when that is unset too.
-        return make_backend("shard")
-    return name
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     protocols = args.protocol or ["MESI", "TSO-CC-4-12-3"]
     try:
@@ -161,18 +132,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     try:
-        # Backend resolution can also fail inside the executor (env-driven
-        # selection: REPRO_BACKEND/REPRO_SHARD), so construction is guarded
-        # too; KeyError is an unknown backend name.
+        # Shard flags, or REPRO_SHARD alone, can be malformed.
         executor = MatrixExecutor(
             SystemConfig().scaled(num_cores=args.cores),
             scale=args.scale,
             max_cycles=args.max_cycles,
             jobs=args.jobs,
             cache=_make_cache(args),
-            backend=_make_backend(args),
+            shard=resolve_shard(args.shard_index, args.shard_count),
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     try:
@@ -186,7 +155,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for protocol in protocols:
         stats = results.get((protocol, workload_name))
         if stats is None:
-            # A shard backend only executes the cells of its shard.
+            # A sharded run only executes the cells of its shard.
             skipped.append(protocol)
             continue
         summary = stats.summary()
@@ -222,23 +191,20 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                            cores=args.cores, scale=args.scale)
         try:
             views[args.number].check(spec.protocols)
-            # Bad backend selection (e.g. REPRO_BACKEND=shard without
-            # coordinates, or an unknown backend name).
-            backend = resolve_backend(args.backend)
+            # A malformed REPRO_SHARD raises here.
+            sharded = resolve_shard() is not None
         except (ValueError, KeyError) as exc:
             print(exc.args[0] if exc.args else exc, file=sys.stderr)
             return 2
-        if isinstance(backend, ShardBackend):
+        if sharded:
             # A figure needs every cell of its matrix; refuse up front
             # instead of simulating one shard of it.
             print("repro figure needs the full matrix and cannot run "
-                  "sharded; unset REPRO_SHARD or drop --backend shard "
-                  "(shard a sweep with 'repro shard run' instead)",
-                  file=sys.stderr)
+                  "sharded; unset REPRO_SHARD (shard a sweep with "
+                  "'repro shard run' instead)", file=sys.stderr)
             return 2
         try:
-            result = spec.run(jobs=args.jobs, cache=_make_cache(args),
-                              backend=backend)
+            result = spec.run(jobs=args.jobs, cache=_make_cache(args))
         except KeyError as exc:
             # Unregistered protocol names in --protocols.
             print(exc.args[0], file=sys.stderr)
@@ -257,17 +223,21 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_table(report: SpecReport, per_cell: bool) -> ReportTable:
-    """The table ``repro sweep`` and ``repro shard run`` print: each
-    variant's metrics summed over the workload mix, or one row per cell for
-    ``per_cell`` and for partial (sharded) results, where sums over an
-    incomplete mix would be meaningless."""
-    spec = report.spec
+def _spec_table(report: SpecReport, title: str,
+                per_cell: bool = False) -> ReportTable:
+    """The table ``repro sweep``, ``repro shard run`` and ``repro fuzz run``
+    print: each protocol's fields aggregated over the workload mix, or one
+    row per cell for ``per_cell`` and for partial (sharded) results, where
+    aggregates over an incomplete mix would be meaningless."""
     table = report.cell_table() if per_cell or not report.complete \
         else report.mix_table(normalized=False)
-    table.title = (f"Sweep {spec.name} — {spec.description} "
-                   f"(workloads: {', '.join(spec.workloads)})")
+    table.title = title
     return table
+
+
+def _sweep_title(spec: SweepSpec) -> str:
+    return (f"Sweep {spec.name} — {spec.description} "
+            f"(workloads: {', '.join(spec.workloads)})")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -305,10 +275,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     cache = _make_cache(args)
     try:
-        backend = _make_backend(args)
-        result = spec.run(jobs=args.jobs, cache=cache, backend=backend)
+        result = spec.run(jobs=args.jobs, cache=cache,
+                          shard=resolve_shard(args.shard_index,
+                                              args.shard_count))
     except ValueError as exc:
-        # Bad backend/shard flags.
+        # Bad shard flags.
         print(exc, file=sys.stderr)
         return 2
     except KeyError as exc:
@@ -319,9 +290,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     report = result.report(baseline=args.baseline)
-    table = _sweep_table(report, args.per_cell).render()
+    table = _spec_table(report, _sweep_title(spec), args.per_cell).render()
     print(table)
-    executed = len(result.stats)
+    executed = len(result.cells)
     print(f"({executed} of {spec.num_cells} cells executed: "
           f"{result.simulations_run} simulated, "
           f"{executed - result.simulations_run} from cache)")
@@ -360,11 +331,7 @@ def _sharded_spec(args: argparse.Namespace):
         cores=[int(c) for c in _split(getattr(args, "cores", None)) or []] or None,
         scales=[float(s) for s in _split(getattr(args, "scales", None)) or []] or None,
     )
-    unknown = [p for p in spec.protocols if p not in set(list_protocol_names())]
-    if unknown:
-        raise KeyError(
-            f"sweep {spec.name!r} references unregistered protocols: "
-            f"{', '.join(unknown)}")
+    spec.check_protocols()
     return spec
 
 
@@ -412,14 +379,12 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
             raise ValueError(
                 "shard run needs --shard-index/--shard-count "
                 "or REPRO_SHARD=<index>/<count>")
-        backend = ShardBackend(
-            *shard, inner=resolve_backend(args.backend, wrap_shard=False))
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     try:
         result = spec.run(jobs=args.jobs, cache=_make_cache(args),
-                          backend=backend)
+                          shard=shard)
     except KeyError as exc:
         # Unregistered protocol names that slipped past the subset check.
         print(exc.args[0], file=sys.stderr)
@@ -429,10 +394,11 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
         return 1
     owned = {(cell.protocol, cell.workload, cell.cores, cell.scale)
              for cell in plan_sweep(spec, shard[1]).shard_cells(shard[0])}
-    print(_sweep_table(result.report(), per_cell=True).render())
+    print(_spec_table(result.report(), _sweep_title(spec),
+                      per_cell=True).render())
     # A warm shared cache can hand back cells of *other* shards too; the
     # footer accounts only for this shard's own cells.
-    owned_executed = sum(1 for cell in result.stats if cell in owned)
+    owned_executed = sum(1 for cell in result.cells if cell in owned)
     print(f"(shard {shard[0]}/{shard[1]}: owns {len(owned)} of "
           f"{spec.num_cells} cells; {result.simulations_run} simulated, "
           f"{owned_executed - result.simulations_run} owned from cache)")
@@ -444,8 +410,7 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
 _MAX_MISSING_LISTED = 20
 
 
-def _merge_into_cache(args: argparse.Namespace, spec, noun: str,
-                      describe_cell) -> int:
+def _merge_into_cache(args: argparse.Namespace, spec, describe_cell) -> int:
     """Merge ``args.sources`` into ``args.cache_dir`` and (when ``spec``
     is not None) verify the sweep's/campaign's cells are fully covered —
     the shared core of ``repro shard merge`` and ``repro fuzz merge``.
@@ -467,14 +432,15 @@ def _merge_into_cache(args: argparse.Namespace, spec, noun: str,
     missing = missing_cells(spec, dest)
     if missing:
         print(f"INCOMPLETE: {len(missing)} of {spec.num_cells} cells of "
-              f"{noun} {spec.name!r} missing after merge:", file=sys.stderr)
+              f"{spec.noun} {spec.name!r} missing after merge:",
+              file=sys.stderr)
         for cell in missing[:_MAX_MISSING_LISTED]:
             print(f"  {describe_cell(cell)}", file=sys.stderr)
         if len(missing) > _MAX_MISSING_LISTED:
             print(f"  ... and {len(missing) - _MAX_MISSING_LISTED} more",
                   file=sys.stderr)
         return 1
-    print(f"complete: all {spec.num_cells} cells of {noun} "
+    print(f"complete: all {spec.num_cells} cells of {spec.noun} "
           f"{spec.name!r} present")
     return 0
 
@@ -490,7 +456,7 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
             print(exc.args[0] if exc.args else exc, file=sys.stderr)
             return 2
     return _merge_into_cache(
-        args, spec, "sweep",
+        args, spec,
         lambda cell: (f"{cell.protocol} x {cell.workload} "
                       f"(cores {cell.cores}, scale {cell.scale})"))
 
@@ -691,11 +657,7 @@ def _fuzz_spec(args: argparse.Namespace):
         num_seeds=getattr(args, "seeds", None),
         seed_start=getattr(args, "seed_start", None),
     )
-    unknown = [p for p in spec.protocols if p not in set(list_protocol_names())]
-    if unknown:
-        raise KeyError(
-            f"campaign {spec.name!r} references unregistered protocols: "
-            f"{', '.join(unknown)}")
+    spec.check_protocols()
     return spec
 
 
@@ -729,22 +691,26 @@ def _cmd_fuzz_cells(args: argparse.Namespace) -> int:
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     try:
         spec = _fuzz_spec(args)
-        backend = _make_backend(args)
+        shard = resolve_shard(args.shard_index, args.shard_count)
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     try:
         result = spec.run(jobs=args.jobs, cache=_make_cache(args),
-                          backend=backend)
+                          shard=shard)
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
-    print(result.tabulate())
+    report = result.report()
+    print(_spec_table(report, f"Fuzz campaign {spec.name} — "
+                              f"{spec.description} ({spec.num_seeds} seeds "
+                              f"x {len(spec.shapes())} shapes x "
+                              f"{len(spec.protocols)} protocols)").render())
     executed = len(result.cells)
     print(f"({executed} of {spec.num_cells} cells executed: "
           f"{result.simulations_run} simulated, "
           f"{executed - result.simulations_run} from cache)")
-    failures = result.failures()
+    failures = failing_cells(result)
     if failures:
         print("\nFORBIDDEN OUTCOMES OBSERVED:", file=sys.stderr)
         for cell in failures:
@@ -767,7 +733,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
             print(f"    shrink: repro fuzz shrink {spec.name} {coordinates}",
                   file=sys.stderr)
         return 1
-    if result.complete:
+    if report.complete:
         print(f"CONFORMANT: all {spec.num_cells} cells within the "
               f"x86-TSO outcome sets")
     return 0
@@ -834,7 +800,7 @@ def _cmd_fuzz_merge(args: argparse.Namespace) -> int:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     return _merge_into_cache(
-        args, spec, "campaign",
+        args, spec,
         lambda cell: f"{cell.protocol} x {cell.workload}")
 
 
@@ -1233,19 +1199,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_executor_flags(command: argparse.ArgumentParser,
-                           backend_choices: Optional[List[str]] = None) -> None:
+    def add_executor_flags(command: argparse.ArgumentParser) -> None:
         command.add_argument("--jobs", type=int, default=None,
                              help="worker processes (default: REPRO_JOBS or CPU count)")
         command.add_argument("--no-cache", action="store_true",
                              help="ignore and do not update the on-disk result cache")
         command.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
                              help="result cache directory (default: benchmarks/results/cache)")
-        command.add_argument("--backend",
-                             choices=backend_choices or list_backend_names(),
-                             default=None,
-                             help="execution backend (default: REPRO_BACKEND "
-                                  "or local)")
 
     def add_shard_flags(command: argparse.ArgumentParser) -> None:
         command.add_argument("--shard-index", type=int, default=None,
@@ -1350,8 +1310,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "timestamp-bits; see 'repro sweep --list')")
     add_shard_flags(shard_run)
     add_axis_overrides(shard_run)
-    # The inner backend executes the shard's cells; 'shard' cannot nest.
-    add_executor_flags(shard_run, backend_choices=["local", "batched"])
+    add_executor_flags(shard_run)
 
     shard_merge = shard_sub.add_parser(
         "merge",

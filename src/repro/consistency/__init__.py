@@ -31,7 +31,6 @@ from repro.consistency.runner import LitmusResult, run_litmus_on_simulator, veri
 from repro.consistency.tso_model import enumerate_tso_outcomes, enumerate_sc_outcomes
 from repro.consistency.checkers import check_coherence_per_location
 from repro.consistency.fuzz import (
-    CampaignResult,
     FuzzCampaign,
     FuzzCellResult,
     get_campaign,
@@ -55,7 +54,6 @@ __all__ = [
     "check_coherence_per_location",
     "FuzzCampaign",
     "FuzzCellResult",
-    "CampaignResult",
     "register_campaign",
     "get_campaign",
     "list_campaigns",

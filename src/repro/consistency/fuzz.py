@@ -44,8 +44,8 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.parallel import (CellKind, MatrixExecutor, ReportField,
-                                     ResultCache, declare_report_fields,
+from repro.analysis.parallel import (CellKind, MatrixSpec, ReportField,
+                                     SpecResult, declare_report_fields,
                                      register_cell_kind)
 from repro.consistency.litmus import (LitmusTest, LitmusThread,
                                       generate_random_test)
@@ -220,8 +220,8 @@ class FuzzCellResult:
         )
 
 
-#: The fuzz conformance cell kind: registered so the executor, every
-#: backend and the shard planner treat campaign cells like any other.
+#: The fuzz conformance cell kind: registered so the executor and the
+#: shard planner treat campaign cells like any other.
 FUZZ_CELL_KIND = register_cell_kind(CellKind(
     name="fuzz",
     simulate=simulate_fuzz_cell,
@@ -251,8 +251,12 @@ FUZZ_REPORT_FIELDS = declare_report_fields("fuzz", [
 # ------------------------------------------------------------------ campaigns
 
 @dataclass(frozen=True)
-class FuzzCampaign:
-    """One declarative conformance-fuzzing campaign.
+class FuzzCampaign(MatrixSpec):
+    """One declarative conformance-fuzzing campaign; ``run()`` comes from
+    :class:`~repro.analysis.parallel.MatrixSpec`.  A failing cell — the
+    simulator showed an outcome the reference model forbids — is a result,
+    not an error: red campaigns cache exactly like green ones, and
+    :func:`failing_cells` lists them.
 
     Attributes:
         name: registry key (``repro fuzz run <name>``).
@@ -285,9 +289,8 @@ class FuzzCampaign:
     max_jitter: int = 40
     max_cycles: int = 5_000_000
 
-    #: Cell kind this spec's cells compute — consumed by the executor and
-    #: by :func:`~repro.analysis.backends.plan_sweep`.
     cell_kind = "fuzz"
+    noun = "campaign"
 
     def __post_init__(self) -> None:
         if not self.protocols:
@@ -385,141 +388,15 @@ class FuzzCampaign:
                         else self.seed_start),
         )
 
-    # ------------------------------------------------------------------ running
 
-    def run(self, jobs: Optional[int] = None,
-            cache: Optional[ResultCache] = None,
-            backend=None) -> "CampaignResult":
-        """Expand and execute every cell through the cached, parallel
-        :class:`MatrixExecutor` (one executor per platform point).
-
-        A failing cell — the simulator showed an outcome the reference
-        model forbids — is recorded in the returned
-        :class:`CampaignResult`, not raised: red campaigns cache exactly
-        like green ones.
-
-        Args:
-            jobs: worker-process count.
-            cache: optional on-disk result cache shared by every cell.
-            backend: execution-backend name or instance (a shard backend
-                executes only its own subset; ``CampaignResult.complete``
-                is then ``False``).
-
-        Raises:
-            KeyError: if a protocol name is not registered.
-        """
-        from repro.analysis.backends import resolve_backend
-        from repro.protocols.registry import list_protocol_names
-
-        known = set(list_protocol_names())
-        missing = [p for p in self.protocols if p not in known]
-        if missing:
-            raise KeyError(
-                f"campaign {self.name!r} references unregistered protocols: "
-                f"{', '.join(missing)}"
-            )
-        backend = resolve_backend(backend)
-        by_cores: Dict[int, List[str]] = {}
-        for cores, workload in self.workloads():
-            by_cores.setdefault(cores, []).append(workload)
-        cells: Dict[Tuple[str, str, int, float], FuzzCellResult] = {}
-        simulations = 0
-        for cores, workloads in sorted(by_cores.items()):
-            executor = MatrixExecutor(
-                SystemConfig().scaled(num_cores=cores),
-                scale=1.0,
-                max_cycles=self.max_cycles,
-                jobs=jobs,
-                cache=cache,
-                backend=backend,
-                kind="fuzz",
-            )
-            results = executor.run_cells(
-                [(protocol, workload)
-                 for workload in workloads
-                 for protocol in self.protocols]
-            )
-            simulations += executor.simulations_run
-            for (protocol, workload), cell in results.items():
-                cells[(protocol, workload, cores, 1.0)] = cell
-        return CampaignResult(spec=self, cells=cells,
-                              simulations_run=simulations)
-
-
-@dataclass
-class CampaignResult:
-    """Executed campaign: per-cell conformance verdicts plus aggregation.
-
-    A sharded execution yields a *partial* result — ``cells`` holds only
-    the shard's own cells (plus whatever the shared cache already had);
-    ``complete`` distinguishes the two, and per-protocol aggregation
-    refuses to claim conformance over holes.
-
-    Attributes:
-        spec: the campaign that was run.
-        cells: ``(protocol, workload, cores, scale) -> FuzzCellResult``.
-        simulations_run: cells actually simulated (the rest came from the
-            result cache).
-    """
-
-    spec: FuzzCampaign
-    cells: Dict[Tuple[str, str, int, float], FuzzCellResult]
-    simulations_run: int = 0
-
-    @property
-    def complete(self) -> bool:
-        """Whether every cell of the campaign's expansion has a verdict."""
-        return all((protocol, workload, cores, scale) in self.cells
-                   for cores, scale, protocol, workload in self.spec.cells())
-
-    @property
-    def passed(self) -> bool:
-        """No *executed* cell observed a forbidden outcome.  A partial
-        (sharded) result can pass; campaign-level conformance additionally
-        needs :attr:`complete` (the CLI checks both)."""
-        return all(cell.passed for cell in self.cells.values())
-
-    def failures(self) -> List[FuzzCellResult]:
-        """Every failing cell, in expansion order."""
-        ordered = []
-        for cores, scale, protocol, workload in self.spec.cells():
-            cell = self.cells.get((protocol, workload, cores, scale))
-            if cell is not None and not cell.passed:
-                ordered.append(cell)
-        return ordered
-
-    def protocol_rows(self) -> List[Dict[str, object]]:
-        """One row per protocol: executed/violating cell counts and mean
-        coverage of the TSO-allowed outcome sets (diagnostic)."""
-        rows: List[Dict[str, object]] = []
-        for protocol in self.spec.protocols:
-            executed = [cell for key, cell in self.cells.items()
-                        if key[0] == protocol]
-            violating = sum(1 for cell in executed if not cell.passed)
-            coverage = (sum(cell.coverage for cell in executed)
-                        / len(executed)) if executed else 0.0
-            total = self.spec.num_cells // len(self.spec.protocols)
-            rows.append({
-                "protocol": protocol,
-                "cells": total,
-                "executed": len(executed),
-                "violations": violating,
-                "verdict": ("FAIL" if violating
-                            else ("pass" if len(executed) == total
-                                  else "partial")),
-                "mean_coverage": round(coverage, 3),
-            })
-        return rows
-
-    def tabulate(self) -> str:
-        """Render the per-protocol campaign summary as a plain-text table."""
-        from repro.analysis.tables import format_table
-
-        title = (f"Fuzz campaign {self.spec.name} — {self.spec.description} "
-                 f"({self.spec.num_seeds} seeds x "
-                 f"{len(self.spec.shapes())} shapes x "
-                 f"{len(self.spec.protocols)} protocols)")
-        return format_table(self.protocol_rows(), title=title)
+def failing_cells(result: SpecResult) -> List[FuzzCellResult]:
+    """The failing verdicts of a campaign run, in expansion order."""
+    failing = []
+    for cores, scale, protocol, workload in result.spec.cells():
+        cell = result.cells.get((protocol, workload, cores, scale))
+        if cell is not None and not cell.passed:
+            failing.append(cell)
+    return failing
 
 
 # ------------------------------------------------------------------ registry

@@ -1,11 +1,15 @@
-"""Tests for the pluggable execution backends and the shard pipeline.
+"""Tests for cell execution placement: the executor's inline and pooled
+paths, its failure semantics, and the shard pipeline
+(``repro/analysis/shard.py``).
 
-Two properties are load-bearing:
+Three properties are load-bearing:
 
-* **Backend neutrality** — ``local``, ``batched`` and ``shard`` execution
-  of the same cell list must produce byte-identical ``SystemStats``
-  payloads under identical cache keys; the backend is an execution-placement
-  decision, never a results decision.
+* **Placement neutrality** — inline, pooled and sharded execution of the
+  same cell list produce byte-identical ``SystemStats`` payloads under
+  identical cache keys; where a cell runs never changes what it computes.
+* **No lost work** — a failing cell does not throw away its siblings: every
+  pending cell runs, every valid payload is cached, and only then does the
+  earliest failure (in the order the cells were given) propagate.
 * **Coordinator-free sharding** — the cell→shard assignment is a pure
   function of the content-addressed cache key, so N independent ``shard
   run`` invocations cover every cell exactly once and their result
@@ -19,17 +23,14 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.parallel as parallel
 from _helpers import make_tiny_config
-from repro.analysis.backends import (BACKENDS, Backend, BatchedBackend,
-                                     LocalBackend, ShardBackend,
-                                     get_backend, list_backend_names,
-                                     make_backend, merge_results,
-                                     missing_cells, plan_sweep,
-                                     register_backend, resolve_backend,
-                                     resolve_shard, shard_of_key)
-from repro.analysis.parallel import MatrixExecutor, ResultCache, cell_key
+from repro.analysis.parallel import (MatrixExecutor, ResultCache,
+                                     WorkloadValidationError, cell_key)
+from repro.analysis.shard import (merge_results, missing_cells, plan_sweep,
+                                  resolve_shard, shard_of_key)
 from repro.analysis.sweeps import SweepSpec, get_sweep
-from repro.cli import _sweep_table, main
+from repro.cli import _spec_table, main
 from repro.sim.config import SystemConfig
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -41,10 +42,9 @@ CELLS = [(p, w) for p in PROTOCOLS for w in WORKLOADS]
 
 
 @pytest.fixture(autouse=True)
-def _clean_backend_env(monkeypatch):
-    """Backend selection env vars must not leak into (or out of) tests."""
-    for var in ("REPRO_BACKEND", "REPRO_SHARD", "REPRO_BATCH_SIZE"):
-        monkeypatch.delenv(var, raising=False)
+def _clean_shard_env(monkeypatch):
+    """REPRO_SHARD must not leak into (or out of) tests."""
+    monkeypatch.delenv("REPRO_SHARD", raising=False)
 
 
 def canonical(stats) -> str:
@@ -53,8 +53,8 @@ def canonical(stats) -> str:
 
 def tiny_sweep(**overrides) -> SweepSpec:
     base = dict(
-        name="tiny-backend-sweep",
-        description="backend determinism fixture",
+        name="tiny-placement-sweep",
+        description="placement determinism fixture",
         protocols=tuple(PROTOCOLS),
         workloads=tuple(WORKLOADS),
         cores=(2,),
@@ -65,45 +65,22 @@ def tiny_sweep(**overrides) -> SweepSpec:
     return SweepSpec(**base)
 
 
-# ------------------------------------------------------------------ registry
+# ------------------------------------------------------------------ shard coordinates
 
-def test_bundled_backends_registered():
-    assert list_backend_names() == ["local", "batched", "shard"]
-    assert get_backend("local") is LocalBackend
-    assert get_backend("batched") is BatchedBackend
-    assert get_backend("shard") is ShardBackend
-
-
-def test_get_backend_unknown_name():
-    with pytest.raises(KeyError, match="unknown backend"):
-        get_backend("cloud")
-
-
-def test_register_backend_rejects_duplicates_and_anonymous():
-    with pytest.raises(ValueError, match="already registered"):
-        register_backend(type("Dup", (Backend,), {"name": "local"}))
-    with pytest.raises(ValueError, match="no name"):
-        register_backend(type("Anon", (Backend,), {}))
-    assert list_backend_names() == ["local", "batched", "shard"]  # unchanged
-
-
-def test_resolve_backend_default_env_and_passthrough(monkeypatch):
-    assert resolve_backend(None).name == "local"
-    assert resolve_backend("batched").name == "batched"
-    monkeypatch.setenv("REPRO_BACKEND", "batched")
-    assert resolve_backend(None).name == "batched"
-    instance = BatchedBackend(batch_size=2)
-    assert resolve_backend(instance) is instance
-
-
-def test_resolve_backend_wraps_in_shard_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD", "1/4")
-    backend = resolve_backend(None)
-    assert isinstance(backend, ShardBackend)
-    assert (backend.shard_index, backend.shard_count) == (1, 4)
-    assert backend.inner.name == "local"
-    monkeypatch.setenv("REPRO_BACKEND", "batched")
-    assert resolve_backend(None).inner.name == "batched"
+def test_repro_shard_env_shards_any_executor(monkeypatch):
+    """Exporting REPRO_SHARD alone shards an executor built without a
+    shard; an explicit shard wins over the variable."""
+    config = make_tiny_config()
+    key = cell_key(config, "MESI", "fft", SCALE, 200_000_000)
+    other = (shard_of_key(key, 2) + 1) % 2
+    monkeypatch.setenv("REPRO_SHARD", f"{other}/2")
+    executor = MatrixExecutor(config, scale=SCALE, jobs=1)
+    assert executor.shard == (other, 2)
+    assert executor.run_cells([("MESI", "fft")]) == {}
+    assert executor.simulations_run == 0
+    owner = MatrixExecutor(config, scale=SCALE, jobs=1,
+                           shard=(1 - other, 2))
+    assert set(owner.run_cells([("MESI", "fft")])) == {("MESI", "fft")}
 
 
 def test_resolve_shard_flags_env_and_errors(monkeypatch):
@@ -122,89 +99,62 @@ def test_resolve_shard_flags_env_and_errors(monkeypatch):
         resolve_shard(0, 0)
 
 
-def test_make_backend_shard_needs_coordinates(monkeypatch):
-    with pytest.raises(ValueError, match="REPRO_SHARD"):
-        make_backend("shard")
-    monkeypatch.setenv("REPRO_SHARD", "1/2")
-    backend = make_backend("shard")
-    assert (backend.shard_index, backend.shard_count) == (1, 2)
-
-
-def test_shard_backends_do_not_nest():
-    with pytest.raises(ValueError, match="nest"):
-        ShardBackend(0, 2, inner=ShardBackend(0, 2))
-
-
-def test_batched_backend_batch_size_validation(monkeypatch):
-    with pytest.raises(ValueError, match=">= 1"):
-        BatchedBackend(batch_size=0)
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "three")
-    with pytest.raises(ValueError, match="REPRO_BATCH_SIZE"):
-        BatchedBackend()
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "3")
-    assert BatchedBackend().batch_size == 3
-
-
 # ------------------------------------------------------------------ determinism
 
-def test_batched_matches_local_payloads_and_cache_keys(tmp_path):
+def test_executor_backend_keyword_accepts_only_local():
+    MatrixExecutor(make_tiny_config(), backend="local")
+    with pytest.raises(ValueError, match="unknown backend 'batched'"):
+        MatrixExecutor(make_tiny_config(), backend="batched")
+
+
+def test_pool_matches_inline_payloads_and_cache_keys(tmp_path):
     config = make_tiny_config()
-    local_cache = ResultCache(tmp_path / "local")
-    batched_cache = ResultCache(tmp_path / "batched")
-    local = MatrixExecutor(config, scale=SCALE, jobs=2, cache=local_cache,
-                           backend="local")
-    batched = MatrixExecutor(config, scale=SCALE, jobs=2,
-                             cache=batched_cache, backend="batched")
-    local_results = local.run_cells(CELLS)
-    batched_results = batched.run_cells(CELLS)
-    assert local.simulations_run == batched.simulations_run == len(CELLS)
+    inline = MatrixExecutor(config, scale=SCALE, jobs=1,
+                            cache=ResultCache(tmp_path / "inline"))
+    pooled = MatrixExecutor(config, scale=SCALE, jobs=2,
+                            cache=ResultCache(tmp_path / "pooled"))
+    inline_results = inline.run_cells(CELLS)
+    pooled_results = pooled.run_cells(CELLS)
+    assert inline.simulations_run == pooled.simulations_run == len(CELLS)
     for cell in CELLS:
-        assert canonical(local_results[cell]) == canonical(batched_results[cell])
+        assert canonical(inline_results[cell]) == canonical(pooled_results[cell])
     # Identical cache keys: the same entry files exist on both sides, with
     # byte-identical payloads.
     # Entry files only: the advisory index (index-v1.json at the root)
     # carries wall-clock timestamps and is not part of the payload contract.
-    local_entries = {p.name: p.read_text() for p in (tmp_path / "local").glob("*/*.json")}
-    batched_entries = {p.name: p.read_text() for p in (tmp_path / "batched").glob("*/*.json")}
-    assert local_entries == batched_entries
-    assert len(local_entries) == len(CELLS)
+    inline_entries = {p.name: p.read_text()
+                      for p in (tmp_path / "inline").glob("*/*.json")}
+    pooled_entries = {p.name: p.read_text()
+                      for p in (tmp_path / "pooled").glob("*/*.json")}
+    assert inline_entries == pooled_entries
+    assert len(inline_entries) == len(CELLS)
 
 
-def test_batched_payloads_independent_of_batch_size():
-    config = make_tiny_config()
-    reference = MatrixExecutor(config, scale=SCALE, jobs=1).run_cells(CELLS)
-    for batch_size in (1, 3):
-        executor = MatrixExecutor(config, scale=SCALE, jobs=2,
-                                  backend=BatchedBackend(batch_size=batch_size))
-        results = executor.run_cells(CELLS)
-        for cell in CELLS:
-            assert canonical(results[cell]) == canonical(reference[cell]), \
-                (batch_size, cell)
-
-
-def test_batched_failure_keeps_sibling_cells_cached(tmp_path, monkeypatch):
-    """One invalid cell in a batch must not discard its siblings: every
-    valid cell is yielded (and cached) before the validation error is
-    re-raised on the parent side."""
-    import repro.analysis.parallel as parallel
-    from repro.analysis.parallel import WorkloadValidationError
-
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_cell_keeps_sibling_cells_cached(tmp_path, monkeypatch, jobs):
+    """Invalid cells must not discard their siblings: every pending cell
+    runs and every valid one is cached, then the earliest failure in the
+    order the cells were given is raised — inline and pooled alike."""
     real = parallel.simulate_cell
+    failing = {CELLS[1]: "first injected failure",
+               CELLS[3]: "second injected failure"}
 
-    def failing(config, protocol, workload_name, scale, max_cycles):
-        if workload_name == "intruder" and protocol == "MESI":
-            raise WorkloadValidationError("injected failure")
+    def simulate(config, protocol, workload_name, scale, max_cycles):
+        if (protocol, workload_name) in failing:
+            raise WorkloadValidationError(failing[(protocol, workload_name)])
         return real(config, protocol, workload_name, scale, max_cycles)
 
-    monkeypatch.setattr(parallel, "simulate_cell", failing)
+    # The pool forks after the patch, so workers inherit it.
+    monkeypatch.setattr(parallel, "simulate_cell", simulate)
     cache = ResultCache(tmp_path)
-    executor = MatrixExecutor(make_tiny_config(), scale=SCALE, jobs=1,
-                              cache=cache, backend=BatchedBackend())
-    with pytest.raises(WorkloadValidationError, match="injected"):
+    executor = MatrixExecutor(make_tiny_config(), scale=SCALE, jobs=jobs,
+                              cache=cache)
+    with pytest.raises(WorkloadValidationError,
+                       match="first injected failure"):
         executor.run_cells(CELLS)
-    # The three valid siblings of the failing batch were cached anyway.
-    assert executor.simulations_run == len(CELLS) - 1
-    assert sum(1 for _ in tmp_path.glob("*/*.json")) == len(CELLS) - 1
+    assert executor.simulations_run == len(CELLS) - len(failing)
+    assert sum(1 for _ in tmp_path.glob("*/*.json")) == \
+        len(CELLS) - len(failing)
 
 
 def test_sharded_union_matches_local_without_cache():
@@ -215,7 +165,7 @@ def test_sharded_union_matches_local_without_cache():
     seen = {}
     for index in range(3):
         executor = MatrixExecutor(config, scale=SCALE, jobs=1,
-                                  backend=ShardBackend(index, 3))
+                                  shard=(index, 3))
         results = executor.run_cells(CELLS)
         assert not set(results) & set(seen), "shards must be disjoint"
         seen.update(results)
@@ -229,7 +179,7 @@ def test_sharded_executor_omits_cells_of_other_shards():
     key = cell_key(config, "MESI", "fft", SCALE, 200_000_000)
     other = (shard_of_key(key, 2) + 1) % 2
     executor = MatrixExecutor(config, scale=SCALE, jobs=1,
-                              backend=ShardBackend(other, 2))
+                              shard=(other, 2))
     assert executor.run_cells([("MESI", "fft")]) == {}
     assert executor.simulations_run == 0
 
@@ -259,7 +209,7 @@ def test_plan_is_disjoint_complete_and_deterministic():
     assert len({c.key for c in plan.cells}) == spec.num_cells
     # Deterministic: a recomputed plan is identical (no coordinator needed).
     assert plan_sweep(spec, shard_count=4) == plan
-    # The assignment is per-key, so the executor-side backend agrees with
+    # The assignment is per-key, so the executor's shard filter agrees with
     # the planner for every cell.
     for cell in plan.cells:
         assert cell.shard == shard_of_key(cell.key, 4)
@@ -346,7 +296,7 @@ def test_shard_run_merge_reproduces_unsharded_run_and_goldens(tmp_path):
     for index in range(shard_count):
         shard_dir = tmp_path / f"shard-{index}"
         result = GOLDEN_SPEC.run(jobs=1, cache=ResultCache(shard_dir),
-                                 backend=ShardBackend(index, shard_count))
+                                 shard=(index, shard_count))
         assert result.simulations_run == len(plan.shard_cells(index))
         assert result.report().complete == (len(plan.shard_cells(index))
                                             == GOLDEN_SPEC.num_cells)
@@ -366,7 +316,7 @@ def test_shard_run_merge_reproduces_unsharded_run_and_goldens(tmp_path):
     assert unsharded.report().complete
 
     for (protocol, workload), golden in GOLDEN_FILES.items():
-        stats = unsharded.stats[(protocol, workload, 4, 0.5)]
+        stats = unsharded.cells[(protocol, workload, 4, 0.5)]
         expected = json.loads((GOLDEN_DIR / golden).read_text(encoding="utf-8"))
         assert json.dumps(stats.to_dict(), sort_keys=True) == \
             json.dumps(expected, sort_keys=True), (protocol, workload)  # (c)
@@ -386,12 +336,12 @@ def _partial_shard(spec):
 def test_partial_sweep_result_refuses_mix_aggregation(tmp_path):
     spec = tiny_sweep(workloads=("fft",))
     index, shard_count = _partial_shard(spec)
-    result = spec.run(jobs=1, backend=ShardBackend(index, shard_count))
+    result = spec.run(jobs=1, shard=(index, shard_count))
     report = result.report()
     assert not report.complete
     # A variant whose (one-workload) mix lost its cell to another shard
     # gets no sum, rendered as missing ...
-    present = {protocol for protocol, _, _, _ in result.stats}
+    present = {protocol for protocol, _, _, _ in result.cells}
     for row in report.mix_table(normalized=False).rows:
         assert (row["cycles"] is None) == (row["protocol"] not in present)
     # ... while the per-cell grain lists exactly the shard's cells, and is
@@ -399,8 +349,8 @@ def test_partial_sweep_result_refuses_mix_aggregation(tmp_path):
     # --per-cell.
     cells = report.cell_table().rows
     assert {(row["protocol"], row["workload"], row["cores"], row["scale"])
-            for row in cells} == set(result.stats)
-    printed = _sweep_table(report, per_cell=False)
+            for row in cells} == set(result.cells)
+    printed = _spec_table(report, "title")
     assert "workload" in printed.columns
     assert printed.rows == cells
 
@@ -513,15 +463,6 @@ def test_cli_sweep_rejects_half_specified_shard(capsys):
     assert "together" in capsys.readouterr().err
 
 
-def test_cli_run_accepts_backend_flag(capsys):
-    code = main(["run", "fft", "--protocol", "MESI", "--cores", "2",
-                 "--scale", "0.2", "--jobs", "2", "--no-cache",
-                 "--backend", "batched"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "MESI" in out and "cycles" in out
-
-
 def test_cli_figure_refuses_sharded_execution(monkeypatch, capsys):
     """Figures need every cell; a sharded figure run must be refused up
     front with a clean message, not crash mid-matrix."""
@@ -534,11 +475,13 @@ def test_cli_figure_refuses_sharded_execution(monkeypatch, capsys):
     assert "REPRO_SHARD" in err and "Traceback" not in err
 
 
-def test_cli_figure_reports_bad_backend_selection(capsys):
-    # --backend shard without coordinates is a user error, not a traceback.
+def test_cli_figure_reports_malformed_repro_shard(monkeypatch, capsys):
+    # A malformed REPRO_SHARD is a user error, not a traceback.
+    monkeypatch.setenv("REPRO_SHARD", "junk")
     assert main(["figure", "3", "--workloads", "fft", "--cores", "2",
-                 "--scale", "0.2", "--no-cache", "--backend", "shard"]) == 2
-    assert "shard" in capsys.readouterr().err
+                 "--scale", "0.2", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "REPRO_SHARD" in err and "Traceback" not in err
 
 
 def test_cli_shard_merge_rejects_bad_overrides_before_merging(tmp_path, capsys):
@@ -549,17 +492,14 @@ def test_cli_shard_merge_rejects_bad_overrides_before_merging(tmp_path, capsys):
     assert not dest.exists()  # nothing was merged before the failure
 
 
-def test_cli_run_reports_env_driven_backend_errors(monkeypatch, capsys):
-    """Backend selection can fail via env vars alone; that is user error
+def test_cli_run_reports_malformed_repro_shard(monkeypatch, capsys):
+    """Sharding can fail via the environment alone; that is user error
     (exit 2 with a message), not a traceback."""
-    base = ["run", "fft", "--protocol", "MESI", "--cores", "2",
-            "--scale", "0.2", "--no-cache"]
-    monkeypatch.setenv("REPRO_BACKEND", "shard")      # no REPRO_SHARD
-    assert main(base) == 2
-    assert "REPRO_SHARD" in capsys.readouterr().err
-    monkeypatch.setenv("REPRO_BACKEND", "bogus")
-    assert main(base) == 2
-    assert "unknown backend" in capsys.readouterr().err
+    monkeypatch.setenv("REPRO_SHARD", "3/2")
+    assert main(["run", "fft", "--protocol", "MESI", "--cores", "2",
+                 "--scale", "0.2", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "outside [0, 2)" in err and "Traceback" not in err
 
 
 def test_cli_shard_plan_rejects_nonpositive_count(capsys):
@@ -570,25 +510,6 @@ def test_cli_shard_plan_rejects_nonpositive_count(capsys):
 def test_cli_sweep_rejects_malformed_axis_overrides(capsys):
     assert main(["sweep", "ci-smoke", "--cores", "abc", "--no-cache"]) == 2
     assert "abc" in capsys.readouterr().err
-
-
-def test_make_backend_honors_repro_backend_as_shard_inner(monkeypatch):
-    """Flag -> REPRO_BACKEND -> local must hold for the *inner* backend of
-    a sharded run too, on both CLI construction paths."""
-    import argparse
-
-    from repro.cli import _make_backend
-
-    monkeypatch.setenv("REPRO_BACKEND", "batched")
-    args = argparse.Namespace(backend=None, shard_index=0, shard_count=2)
-    backend = _make_backend(args)
-    assert isinstance(backend, ShardBackend)
-    assert backend.inner.name == "batched"
-    # Explicit flag still wins, and 'shard' never nests into itself.
-    args.backend = "local"
-    assert _make_backend(args).inner.name == "local"
-    monkeypatch.setenv("REPRO_BACKEND", "shard")
-    assert resolve_backend(None, wrap_shard=False).name == "local"
 
 
 def test_merge_replaces_corrupt_destination_entries(tmp_path):

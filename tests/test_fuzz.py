@@ -3,9 +3,9 @@
 Four properties are load-bearing:
 
 * **Matrix citizenship** — fuzz cells flow through the same executor,
-  cache, backends and shard planner as paper cells: byte-identical
-  payloads across backends, zero re-simulation on a warm cache, disjoint
-  shard cover, and corrupt-entry replacement on merge.
+  cache and shard planner as paper cells: byte-identical payloads inline
+  and pooled, zero re-simulation on a warm cache, disjoint shard cover,
+  and corrupt-entry replacement on merge.
 * **Seeded determinism** — a campaign cell's generated op stream, cache
   key and verdict payload are pure functions of the encoded workload
   name, byte-identical across independent processes.
@@ -25,14 +25,12 @@ from pathlib import Path
 import pytest
 
 import _mutant
-from repro.analysis.backends import (BatchedBackend, ShardBackend,
-                                     merge_results, missing_cells,
-                                     plan_sweep)
-from repro.analysis.parallel import (MatrixExecutor, ResultCache, cell_key,
-                                     get_cell_kind, payload_is_current)
+from repro.analysis.parallel import (ResultCache, cell_key, get_cell_kind,
+                                     payload_is_current)
+from repro.analysis.shard import merge_results, missing_cells, plan_sweep
 from repro.cli import main
-from repro.consistency.fuzz import (FUZZ_SCHEMA_VERSION, CampaignResult,
-                                    FuzzCampaign, FuzzCellResult,
+from repro.consistency.fuzz import (FUZZ_SCHEMA_VERSION, FuzzCampaign,
+                                    FuzzCellResult, failing_cells,
                                     fuzz_workload_name, generate_cell_test,
                                     get_campaign, list_campaigns,
                                     parse_fuzz_workload, replay_cell,
@@ -45,9 +43,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
-def _clean_backend_env(monkeypatch):
-    for var in ("REPRO_BACKEND", "REPRO_SHARD", "REPRO_BATCH_SIZE"):
-        monkeypatch.delenv(var, raising=False)
+def _clean_shard_env(monkeypatch):
+    monkeypatch.delenv("REPRO_SHARD", raising=False)
 
 
 def tiny_campaign(**overrides) -> FuzzCampaign:
@@ -186,38 +183,35 @@ def test_campaign_runs_caches_and_rehits(tmp_path):
     spec = tiny_campaign()
     cache = ResultCache(tmp_path / "cache")
     result = spec.run(jobs=1, cache=cache)
-    assert result.complete and result.passed
+    assert result.report().complete
     assert result.simulations_run == spec.num_cells
-    assert result.failures() == []
+    assert failing_cells(result) == []
     # Warm cache: zero new simulations, identical verdicts.
     again = spec.run(jobs=1, cache=cache)
     assert again.simulations_run == 0
-    assert again.complete and again.passed
-    assert set(again.cells) == set(result.cells)
+    assert again.report().complete and failing_cells(again) == []
+    assert again.cells == result.cells
 
 
-def test_campaign_payloads_identical_across_backends(tmp_path):
+def test_campaign_payloads_identical_inline_and_pooled(tmp_path):
     spec = tiny_campaign(num_seeds=2)
-    local = ResultCache(tmp_path / "local")
-    batched = ResultCache(tmp_path / "batched")
-    spec.run(jobs=2, cache=local)
-    spec.run(jobs=2, cache=batched, backend=BatchedBackend(batch_size=3))
-    local_entries = {p.name: p.read_text() for p in
-                     (tmp_path / "local").glob("*/*.json")}
-    batched_entries = {p.name: p.read_text() for p in
-                       (tmp_path / "batched").glob("*/*.json")}
-    assert local_entries == batched_entries
-    assert len(local_entries) == spec.num_cells
+    spec.run(jobs=1, cache=ResultCache(tmp_path / "inline"))
+    spec.run(jobs=2, cache=ResultCache(tmp_path / "pooled"))
+    inline_entries = {p.name: p.read_text() for p in
+                      (tmp_path / "inline").glob("*/*.json")}
+    pooled_entries = {p.name: p.read_text() for p in
+                      (tmp_path / "pooled").glob("*/*.json")}
+    assert inline_entries == pooled_entries
+    assert len(inline_entries) == spec.num_cells
 
 
-def test_campaign_protocol_rows_and_tabulate():
+def test_campaign_report_mix_table():
     spec = tiny_campaign(num_seeds=2)
-    result = spec.run(jobs=1)
-    rows = result.protocol_rows()
-    assert [row["protocol"] for row in rows] == list(spec.protocols)
-    assert all(row["verdict"] == "pass" for row in rows)
-    table = result.tabulate()
-    assert "tiny-fuzz" in table and "MESI" in table
+    table = spec.run(jobs=1).report().mix_table(normalized=False)
+    assert [row["protocol"] for row in table.rows] == list(spec.protocols)
+    assert all(row["passed"] is True and row["violations"] == 0
+               for row in table.rows)
+    assert "tiny-fuzz" in table.title and "MESI" in table.render()
 
 
 # ------------------------------------------------- sharded-edge paths
@@ -236,10 +230,12 @@ def test_sharded_campaign_partitions_and_partial_guards(tmp_path):
     for index in range(3):
         shard_dir = tmp_path / f"shard-{index}"
         result = spec.run(jobs=1, cache=ResultCache(shard_dir),
-                          backend=ShardBackend(index, 3))
+                          shard=(index, 3))
         assert result.simulations_run == len(plan.shard_cells(index))
-        assert result.complete == (result.simulations_run == spec.num_cells)
-        assert result.passed  # partial results still judge executed cells
+        assert result.report().complete == \
+            (result.simulations_run == spec.num_cells)
+        # Partial results still judge executed cells.
+        assert failing_cells(result) == []
         assert not seen & set(result.cells), "shards must be disjoint"
         seen |= set(result.cells)
         shard_dirs.append(shard_dir)
@@ -252,7 +248,8 @@ def test_sharded_campaign_partitions_and_partial_guards(tmp_path):
     assert missing_cells(spec, merged) == []
 
     warm = spec.run(jobs=1, cache=merged)
-    assert warm.simulations_run == 0 and warm.complete and warm.passed
+    assert warm.simulations_run == 0 and warm.report().complete
+    assert failing_cells(warm) == []
 
 
 def test_merge_replaces_corrupt_fuzz_entries(tmp_path):
@@ -375,14 +372,16 @@ def test_mutant_protocol_is_caught_and_real_protocols_pass():
                          protocols=("MESI", _mutant.MUTANT_PROTOCOL),
                          **TEETH)
     result = spec.run(jobs=1)  # jobs=1: the mutant only exists in-process
-    assert result.complete
-    failures = result.failures()
+    report = result.report()
+    assert report.complete
+    failures = failing_cells(result)
     assert failures, "the broken protocol must be caught"
     assert {cell.protocol for cell in failures} == {_mutant.MUTANT_PROTOCOL}
     assert TEETH_SEED in {cell.seed for cell in failures}
-    rows = {row["protocol"]: row for row in result.protocol_rows()}
-    assert rows["MESI"]["verdict"] == "pass"
-    assert rows[_mutant.MUTANT_PROTOCOL]["verdict"] == "FAIL"
+    rows = {row["protocol"]: row
+            for row in report.mix_table(normalized=False).rows}
+    assert rows["MESI"]["passed"] is True
+    assert rows[_mutant.MUTANT_PROTOCOL]["passed"] is False
     # Violations carry the forbidden outcome for the report.
     assert all(cell.violations for cell in failures)
 

@@ -336,7 +336,7 @@ def test_spec_report_skips_alien_kind_at_same_key(warm, tmp_path):
     """A valid payload of the *wrong* kind under a spec's key must not be
     decoded as that spec's cells."""
     spec, cache_dir, _ = warm
-    from repro.analysis.backends.shard import plan_sweep
+    from repro.analysis.shard import plan_sweep
     alien = tmp_path / "alien"
     cache = ResultCache(alien)
     for cell in plan_sweep(spec, shard_count=1).cells:

@@ -137,7 +137,7 @@ def test_ts_table_sweep_cache_keys_stable_across_processes():
     import sys
     from pathlib import Path
 
-    from repro.analysis.backends import plan_sweep
+    from repro.analysis.shard import plan_sweep
 
     spec = get_sweep("ts-table")
     plan = plan_sweep(spec, shard_count=1)
@@ -147,7 +147,7 @@ def test_ts_table_sweep_cache_keys_stable_across_processes():
     script = (
         "import json, sys\n"
         f"sys.path.insert(0, {src!r})\n"
-        "from repro.analysis.backends import plan_sweep\n"
+        "from repro.analysis.shard import plan_sweep\n"
         "from repro.analysis.sweeps import get_sweep\n"
         "plan = plan_sweep(get_sweep('ts-table'), shard_count=1)\n"
         "print(json.dumps([cell.key for cell in plan.cells]))\n"
@@ -295,7 +295,7 @@ def test_sweep_accessors_and_tabulation(tmp_path):
     mix = report.mix_table(normalized=False)
     by = {row["protocol"]: row for row in mix.rows}
     assert by["MESI"]["cycles"] == sum(
-        stats.cycles for (protocol, _, _, _), stats in result.stats.items()
+        stats.cycles for (protocol, _, _, _), stats in result.cells.items()
         if protocol == "MESI")
     table = mix.render()
     assert "MESI" in table and "cycles" in table
