@@ -1,8 +1,12 @@
 """Analysis and experiment harness.
 
-* :mod:`repro.analysis.parallel` — :class:`MatrixExecutor` (process-pool
-  fan-out of matrix cells) and :class:`ResultCache` (content-addressed
-  on-disk result cache); see EXPERIMENTS.md.
+* :mod:`repro.analysis.parallel` — :class:`MatrixExecutor` (the one code
+  path that runs matrix cells: inline or one process-pool submission per
+  cell), ``MatrixSpec.run`` (shared by sweeps and fuzz campaigns) and
+  :class:`ResultCache` (content-addressed on-disk result cache); see
+  EXPERIMENTS.md.
+* :mod:`repro.analysis.shard` — coordinator-free sharding by cache key:
+  shard coordinates, plans/manifests, and merging shard caches.
 * :mod:`repro.analysis.sweeps` — :class:`~repro.analysis.sweeps.SweepSpec`:
   declared (protocol x workload x cores x scale) matrices, run through the
   executor.  ``figure_spec`` is the matrix behind the paper's Figures 3-9.

@@ -115,3 +115,20 @@ def test_run_command_rejects_unknown_workload(capsys):
     assert "unknown benchmark" in capsys.readouterr().err
     assert main(["run", "zipf:q9"]) == 2
     assert main(["run", "trace:no-such-trace"]) == 2
+
+
+def test_import_loads_no_process_pool():
+    """Every entry point and worker pays the CLI's imports; the process
+    pool is loaded only by a run that starts one."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import repro.cli; "
+              "print(sorted(m for m in ('multiprocessing', "
+              "'concurrent.futures') if m in sys.modules))")
+    loaded = subprocess.run([sys.executable, "-c", script, str(src)],
+                            capture_output=True, text=True,
+                            check=True).stdout.strip()
+    assert loaded == "[]"
