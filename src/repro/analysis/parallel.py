@@ -696,9 +696,9 @@ class MatrixSpec:
     noun = "sweep"
 
     def check_protocols(self) -> None:
-        """Raise ``KeyError`` naming every protocol of the spec that is
-        not registered — before any cell runs or any manifest is written.
-        """
+        """Raise ``KeyError`` naming the spec's unregistered protocols.
+        ``run()`` and the CLI's spec resolution call it, so a bad name
+        fails before any cell runs or any shard manifest is written."""
         from repro.protocols.registry import list_protocol_names
 
         known = set(list_protocol_names())
