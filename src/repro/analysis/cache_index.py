@@ -34,7 +34,7 @@ That asymmetry is what makes the multi-writer story simple:
   toward keeping entries whose updates were observed and never removes an
   entry whose recorded last-hit is newer than the cutoff.
 
-See the "Serving cached results" guide in EXPERIMENTS.md for the policy
+See the "Managing the result cache" guide in EXPERIMENTS.md for the policy
 discussion and the shard-merge/multi-writer contract.
 """
 
@@ -156,9 +156,9 @@ class CacheIndex:
 
     All mutation goes through :meth:`record_put` / :meth:`record_hit`
     (buffered) and :meth:`flush` (atomic read-merge-write), so any number
-    of threads — e.g. ``repro serve`` handler threads — share one instance,
-    and any number of *processes* share the on-disk file under the advisory
-    semantics described in the module docstring.
+    of threads share one instance, and any number of *processes* share the
+    on-disk file under the advisory semantics described in the module
+    docstring.
 
     Args:
         root: the cache root (the directory holding the entry subdirs).

@@ -340,7 +340,7 @@ def payload_is_current(payload: object) -> bool:
     """Whether a cache-entry payload is valid for its own cell kind: the
     ``"kind"`` field (default ``"stats"``) must name a registered kind and
     the ``"schema"`` field must match that kind's payload schema.  Shared
-    by :meth:`ResultCache.get` and the shard merge/completeness checks."""
+    by the shard merge/completeness checks and the report layer."""
     if not isinstance(payload, dict):
         return False
     kind = payload.get("kind", "stats")
@@ -376,7 +376,7 @@ class ResultCache:
         enabled: when ``False`` every lookup misses and nothing is written —
             the ``--no-cache`` behaviour without conditional call sites.
         track: maintain the metadata index on put/get (default).  Disable
-            for throwaway caches that will never be listed, served or GC'd.
+            for throwaway caches that will never be listed or GC'd.
     """
 
     def __init__(self, root: Path = DEFAULT_CACHE_DIR, enabled: bool = True,
@@ -419,16 +419,6 @@ class ResultCache:
         """Return the cached payload for ``key``, or ``None``.  ``schema``
         is the expected payload schema version (the cell kind's; defaults
         to the stats schema)."""
-        return self._read(key, schema=schema)
-
-    def get_any(self, key: str) -> Optional[Dict[str, object]]:
-        """Kind-agnostic lookup: validate the payload against its *own*
-        declared kind (:func:`payload_is_current`) instead of a
-        caller-supplied schema.  This is the ``repro serve`` by-key path,
-        where the key alone does not say which kind produced the entry."""
-        return self._read(key, schema=None)
-
-    def _read(self, key: str, schema: Optional[int]) -> Optional[Dict[str, object]]:
         if not self.enabled:
             return None
         path = self.path(key)
@@ -439,10 +429,7 @@ class ResultCache:
                 # "corrupt", only this exact file may be removed.
                 read_stat = os.fstat(handle.fileno())
                 payload = json.load(handle)
-            if schema is None:
-                if not payload_is_current(payload):
-                    raise ValueError("stale or unknown payload kind")
-            elif not isinstance(payload, dict) or payload.get("schema") != schema:
+            if not isinstance(payload, dict) or payload.get("schema") != schema:
                 raise ValueError("stale payload schema")
         except FileNotFoundError:
             self.misses += 1

@@ -1,10 +1,10 @@
 """Declarative reporting/aggregation over the content-addressed result cache.
 
-After a sweep or fuzz campaign has populated the cache (locally, via CI
-shards, or through ``repro serve``), this module answers the cross-run
-questions the per-invocation tables cannot: *aggregate every cached cell
-matching a filter, normalize against a named baseline variant, render
-dashboards, and diff two cache snapshots cell by cell*.
+After a sweep or fuzz campaign has populated the cache (locally or via
+CI shards), this module answers the cross-run questions the
+per-invocation tables cannot: *aggregate every cached cell matching a
+filter, normalize against a named baseline variant, render dashboards,
+and diff two cache snapshots cell by cell*.
 
 The layer is driven entirely by **declared metadata**
 (:class:`~repro.analysis.parallel.ReportField` declarations on each cell

@@ -32,7 +32,6 @@ Exposes the most common operations without writing Python::
     python -m repro cache ls --kind fuzz --limit 20
     python -m repro cache verify                     # index vs tree (exit 1 on drift)
     python -m repro cache gc --max-bytes 256M --max-age 7d
-    python -m repro serve --port 8080 --queue simulate
 
 Every sub-command prints a plain-text table (the same renderers the
 benchmark harness uses) and exits non-zero if a correctness check fails
@@ -963,38 +962,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return handlers[args.cache_command](args)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.analysis.serve import build_server, make_queue
-
-    cache = ResultCache(Path(args.cache_dir))
-    try:
-        work_queue = make_queue(args.queue, cache, jobs=args.jobs or 1)
-        server = build_server(cache, host=args.host, port=args.port,
-                              work_queue=work_queue, verbose=args.verbose)
-    except (KeyError, OSError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    host, port = server.server_address[:2]
-    print(f"serving result cache {cache.root} at http://{host}:{port} "
-          f"(queue: {work_queue.name}); Ctrl-C to stop", flush=True)
-    # SIGTERM (CI teardown, containers, plain `kill`) gets the same clean
-    # shutdown as Ctrl-C: stop accepting, drain workers, flush the index.
-    import signal
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.server_close()
-    return 0
-
-
 def _trace_directory(args: argparse.Namespace) -> Path:
     if getattr(args, "trace_dir", None):
         return Path(args.trace_dir)
@@ -1558,27 +1525,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report what would be removed without "
                                "touching the tree")
 
-    serve = sub.add_parser(
-        "serve",
-        help="serve the result cache over HTTP: hit -> payload, "
-             "miss -> 202 + pluggable work queue")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8321,
-                       help="TCP port; 0 picks a free one (default: 8321)")
-    serve.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
-                       help="result cache root "
-                            "(default: benchmarks/results/cache)")
-    serve.add_argument("--queue", choices=["null", "simulate"],
-                       default="null",
-                       help="what happens to misses: count only (null) or "
-                            "simulate in background workers (simulate)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="background simulation workers for "
-                            "--queue simulate (default: 1)")
-    serve.add_argument("--verbose", action="store_true",
-                       help="log one line per HTTP request")
-
     trace = sub.add_parser(
         "trace",
         help="capture, replay and inspect instruction-stream traces")
@@ -1656,7 +1602,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "litmus": _cmd_litmus,
         "fuzz": _cmd_fuzz,
         "cache": _cmd_cache,
-        "serve": _cmd_serve,
         "trace": _cmd_trace,
         "suites": _cmd_suites,
     }

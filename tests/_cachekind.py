@@ -1,7 +1,7 @@
-"""A cheap, deterministic cell kind for cache/serve tests.
+"""A cheap, deterministic cell kind for cache tests.
 
-The cache/index/serve machinery is kind-agnostic; the concurrency and
-fault suites need cells that are *instant* so N-process stress runs spend
+The cache/index machinery is kind-agnostic; the concurrency, fault and
+report suites need cells that are *instant* so N-process stress runs spend
 their time on the storage layer, not in the simulator.  ``simulate`` is a
 pure hash of the cell inputs — byte-identical across processes and runs,
 exactly like real cells — and is module-level so process pools can pickle

@@ -1,14 +1,11 @@
-"""Concurrency stress for the shared cache root and ``repro serve``.
+"""Concurrency stress for the shared cache root.
 
-Process-level: N forked workers drive real :class:`MatrixExecutor` runs
-and mixed put/get/gc/rebuild loops against one cache root.  The
-multi-writer contract under test: no lost entries, no duplicate
-simulation beyond the planned cold misses, payloads byte-identical to a
-serial run, and **never** a wrong payload or an exception — a concurrent
-GC or writer can only turn a read into a miss.
-
-Thread-level: a client swarm hammers the HTTP server; hit/miss/202
-counts observed by the clients must equal the server's own counters.
+N forked workers drive real :class:`MatrixExecutor` runs and mixed
+put/get/gc/rebuild loops against one cache root.  The multi-writer
+contract under test: no lost entries, no duplicate simulation beyond the
+planned cold misses, payloads byte-identical to a serial run, and
+**never** a wrong payload or an exception — a concurrent GC or writer can
+only turn a read into a miss.
 """
 
 from __future__ import annotations
@@ -16,18 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import threading
-import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-import pytest
-
-from _cachekind import simulate_cachetest_cell
+import _cachekind  # noqa: F401  (registers the "cachetest" cell kind)
 from repro.analysis.cache_index import CacheIndex, collect_garbage
 from repro.analysis.parallel import (MatrixExecutor, ResultCache, cell_key)
-from repro.analysis.serve import build_server
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION
 
@@ -180,147 +170,3 @@ def test_mixed_put_get_gc_swarm_never_serves_wrong_bytes(tmp_path):
     index.rebuild()
     assert index.verify().in_sync
     assert len(index.load()) == len(survivors)
-
-
-# --------------------------------------------------------- HTTP client swarm
-
-
-def _http(base: str, path: str, body=None):
-    data = None if body is None else json.dumps(body).encode("utf-8")
-    request = urllib.request.Request(base + path, data=data)
-    try:
-        with urllib.request.urlopen(request, timeout=10.0) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-
-
-def test_threaded_client_swarm_counts_match_server(tmp_path):
-    cache = ResultCache(tmp_path)
-    warm_cells = ALL_CELLS[:6]
-    warm_keys = []
-    for protocol, workload in warm_cells:
-        key = cell_key(_config(), protocol, workload, SCALE, MAX_CYCLES,
-                       kind="cachetest")
-        cache.put(key, simulate_cachetest_cell(_config(), protocol, workload,
-                                               SCALE, MAX_CYCLES))
-        warm_keys.append(key)
-    cache.flush_index()
-
-    server = build_server(cache)  # null queue: misses are 202+dropped
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    base = f"http://{host}:{port}"
-
-    per_thread_rounds = 5
-    threads_n = 8
-    tallies = []
-    failures = []
-
-    def swarm(thread_id: int) -> None:
-        tally = {"hit": 0, "miss": 0, "accepted": 0}
-        try:
-            for round_no in range(per_thread_rounds):
-                # By-key hit on a warm entry.
-                key = warm_keys[(thread_id + round_no) % len(warm_keys)]
-                status, body = _http(base, f"/cache/{key}")
-                assert status == 200, (status, body)
-                tally["hit"] += 1
-                # By-key miss.
-                status, body = _http(base, "/cache/" + "0" * 64)
-                assert status == 404, (status, body)
-                tally["miss"] += 1
-                # Config hit on a warm cell.
-                protocol, workload = warm_cells[(thread_id + round_no)
-                                                % len(warm_cells)]
-                status, body = _http(base, "/lookup", {
-                    "protocol": protocol, "workload": workload, "cores": 2,
-                    "scale": SCALE, "max_cycles": MAX_CYCLES,
-                    "kind": "cachetest"})
-                assert status == 200, (status, body)
-                tally["hit"] += 1
-                # Config miss: a cell nobody ever simulated.
-                status, body = _http(base, "/lookup", {
-                    "protocol": "MESI",
-                    "workload": f"novel-{thread_id}-{round_no}",
-                    "cores": 2, "scale": SCALE, "max_cycles": MAX_CYCLES,
-                    "kind": "cachetest"})
-                assert status == 202, (status, body)
-                tally["miss"] += 1
-                tally["accepted"] += 1
-        except Exception as exc:  # pragma: no cover - diagnostic path
-            failures.append(f"thread {thread_id}: {exc!r}")
-        tallies.append(tally)
-
-    workers = [threading.Thread(target=swarm, args=(i,))
-               for i in range(threads_n)]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join(timeout=60.0)
-
-    try:
-        assert failures == []
-        expected = {
-            "hits": sum(t["hit"] for t in tallies),
-            "misses": sum(t["miss"] for t in tallies),
-            "accepted": sum(t["accepted"] for t in tallies),
-        }
-        assert expected["hits"] == threads_n * per_thread_rounds * 2
-        status, stats = _http(base, "/stats")
-        assert status == 200
-        assert stats["serve"]["hits"] == expected["hits"]
-        assert stats["serve"]["misses"] == expected["misses"]
-        assert stats["serve"]["accepted"] == expected["accepted"]
-        assert stats["serve"]["errors"] == 0
-        assert stats["queue"]["dropped"] == expected["accepted"]
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10.0)
-
-
-def test_simulate_queue_swarm_converges_to_hits(tmp_path):
-    """Many clients demanding the same novel cell: the in-flight dedup
-    keeps the simulation count near one, and every client converges to a
-    200 with the canonical payload."""
-    from repro.analysis.serve import SimulateQueue
-
-    cache = ResultCache(tmp_path)
-    queue = SimulateQueue(cache, jobs=2)
-    server = build_server(cache, work_queue=queue)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    base = f"http://{host}:{port}"
-    body = {"protocol": "MESI", "workload": "hot-novel", "cores": 2,
-            "scale": SCALE, "max_cycles": MAX_CYCLES, "kind": "cachetest"}
-    expected_payload = simulate_cachetest_cell(_config(), "MESI", "hot-novel",
-                                               SCALE, MAX_CYCLES)
-    results = []
-
-    def poll_until_hit() -> None:
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            status, payload = _http(base, "/lookup", body)
-            if status == 200:
-                results.append(payload)
-                return
-            assert status == 202
-            time.sleep(0.02)
-        results.append(None)  # pragma: no cover - timeout path
-
-    workers = [threading.Thread(target=poll_until_hit) for _ in range(6)]
-    try:
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60.0)
-        assert results == [expected_payload] * 6
-        assert queue.completed >= 1
-        assert queue.failed == 0
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10.0)
