@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -92,6 +93,31 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
     if not value:
         return None
     return [item.strip() for item in value.split(",") if item.strip()]
+
+
+def _int_at_least(minimum: int, name: str):
+    """An argparse ``type=`` for an integer >= ``minimum``.  argparse turns
+    the ``ValueError`` of anything else into a usage error (exit 2) that
+    names the flag and ``name``, before the command runs."""
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < minimum:
+            raise ValueError(value)
+        return number
+    parse.__name__ = name
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive int")
+_non_negative_int = _int_at_least(0, "non-negative int")
+
+
+def _positive_int_list(value: str) -> List[int]:
+    """An argparse ``type=`` for a comma list of positive integers."""
+    return [_positive_int(item) for item in _split(value) or [value]]
+
+
+_positive_int_list.__name__ = "comma list of positive ints"
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -611,7 +637,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_storage(args: argparse.Namespace) -> int:
-    core_counts = [int(c) for c in (_split(args.cores) or ["16", "32", "64", "128"])]
+    core_counts = args.cores or [16, 32, 64, 128]
     series = StorageModel(SystemConfig()).figure2_series(
         PAPER_TSOCC_CONFIGS, core_counts=core_counts)
     print(format_series_table(series, title="Coherence storage overhead (MB)",
@@ -1192,7 +1218,7 @@ def build_parser() -> argparse.ArgumentParser:
     protocols = sub.add_parser(
         "protocols",
         help="list registered protocol plugins with metadata and storage bits")
-    protocols.add_argument("--cores", type=int, default=32,
+    protocols.add_argument("--cores", type=_positive_int, default=32,
                            help="core count for the storage-overhead column")
 
     run = sub.add_parser(
@@ -1215,7 +1241,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("number", help="figure number (2-9)")
     figure.add_argument("--workloads", help="comma-separated workload subset")
     figure.add_argument("--protocols", help="comma-separated protocol subset")
-    figure.add_argument("--cores", type=int, default=8)
+    figure.add_argument("--cores", type=_positive_int, default=8)
     figure.add_argument("--scale", type=float, default=0.35)
     figure.add_argument("--save", action="store_true",
                         help="also write the table to the results directory")
@@ -1389,11 +1415,12 @@ def build_parser() -> argparse.ArgumentParser:
                                   "the text summary")
 
     storage = sub.add_parser("storage", help="print the Figure 2 storage model")
-    storage.add_argument("--cores", help="comma-separated core counts")
+    storage.add_argument("--cores", type=_positive_int_list,
+                         help="comma-separated core counts")
 
     litmus = sub.add_parser("litmus", help="run litmus tests against x86-TSO")
     litmus.add_argument("--protocol", default="TSO-CC-4-12-3")
-    litmus.add_argument("--iterations", type=int, default=10)
+    litmus.add_argument("--iterations", type=_positive_int, default=10)
     litmus.add_argument("--tests", help="comma-separated litmus test names")
     litmus.add_argument("--random", type=int, default=0, metavar="N",
                         help="also run N diy-style generated tests")
@@ -1494,7 +1521,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_ls.add_argument("--sort", choices=["last-hit", "created", "size"],
                           default="last-hit",
                           help="sort order, descending (default: last-hit)")
-    cache_ls.add_argument("--limit", type=int, default=None,
+    cache_ls.add_argument("--limit", type=_non_negative_int, default=None,
                           help="show at most N entries")
 
     cache_verify = cache_sub.add_parser(
@@ -1605,7 +1632,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "suites": _cmd_suites,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        # Flush inside the try, so a reader that left early is handled
+        # here and not by the interpreter's final flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader closed the pipe (``repro ... | head``).  Point
+        # stdout at the null device so the final flush cannot raise again,
+        # and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

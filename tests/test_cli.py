@@ -108,6 +108,22 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["storage", "--cores", "32,x"], "--cores"),
+    (["protocols", "--cores", "0"], "--cores"),
+    (["figure", "3", "--cores", "0", "--workloads", "fft"], "--cores"),
+    (["litmus", "--iterations", "0", "--tests", "MP"], "--iterations"),
+    (["cache", "ls", "--limit", "-1"], "--limit"),
+], ids=["storage", "protocols", "figure", "litmus", "cache-ls"])
+def test_parser_rejects_malformed_counts(argv, flag, capsys):
+    # A usage error naming the flag, before any work runs: no traceback,
+    # and no litmus run that observes nothing and still reports a pass.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
 def test_run_command_rejects_unknown_workload(capsys):
     # The workload argument is free-form (benchmarks, generators, traces),
     # so rejection happens at eager name resolution, not argparse.
@@ -132,3 +148,27 @@ def test_import_loads_no_process_pool():
                             capture_output=True, text=True,
                             check=True).stdout.strip()
     assert loaded == "[]"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """A reader that stops early (``repro fuzz cells ... | head -2``) ends
+    the command with exit 1 and no traceback on stderr."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "from repro.cli import main; sys.exit(main(sys.argv[2:]))")
+    # The campaign's cell table (~280 KB) overfills the pipe buffer, so
+    # the command is still writing when the reader goes away.
+    process = subprocess.Popen(
+        [sys.executable, "-c", script, str(src),
+         "fuzz", "cells", "tso-conformance"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert process.stdout.readline().startswith("Campaign tso-conformance")
+    process.stdout.close()
+    _, stderr = process.communicate(timeout=60)
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
+    assert process.returncode == 1
