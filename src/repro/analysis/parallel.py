@@ -37,7 +37,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+import time
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
@@ -358,49 +359,30 @@ class ResultCache:
 
     Entries live at ``<root>/<key[:2]>/<key>.json`` where ``key`` is the
     SHA-256 of the canonical JSON of every input that determines the result.
-    Corrupt or stale-schema entries are treated as misses and removed —
+    The tree is the whole cache: no metadata is kept beside it, an entry's
+    mtime is when it was written, and ``repro cache stats``/``gc`` scan the
+    tree (:func:`iter_entry_files`, :func:`collect_garbage`).  Corrupt or
+    stale-schema entries are treated as misses and removed —
     *conditionally*: removal re-stats the path first, so a concurrent
     writer's freshly renamed (valid) entry is never deleted by a reader
     that read the pre-replacement bytes.
-
-    Alongside the tree, an advisory metadata index
-    (:class:`~repro.analysis.cache_index.CacheIndex`) is maintained
-    incrementally: ``put`` records kind/schema/size/created, ``get``
-    records last-hit timestamps (the LRU signal for ``repro cache gc``).
-    Index updates are buffered and flushed with the same per-pid
-    tmp+rename discipline as entries; the index is never consulted on the
-    lookup path — the tree stays truth.
 
     Args:
         root: cache directory (created lazily on first write).
         enabled: when ``False`` every lookup misses and nothing is written —
             the ``--no-cache`` behaviour without conditional call sites.
-        track: maintain the metadata index on put/get (default).  Disable
-            for throwaway caches that will never be listed or GC'd.
+        track: accepts only ``False``.  The keyword stays for its last
+            caller, the host-time benchmark's ``bench/worker.py``.
     """
 
     def __init__(self, root: Path = DEFAULT_CACHE_DIR, enabled: bool = True,
-                 track: bool = True) -> None:
+                 track: bool = False) -> None:
+        # bench/worker.py passes track=False; nothing else does.
+        if track is not False:
+            raise ValueError(
+                f"track={track!r}: the result cache keeps no index")
         self.root = Path(root)
         self.enabled = enabled
-        self.track = track
-        self.hits = 0
-        self.misses = 0
-        self._index = None
-
-    @property
-    def index(self):
-        """The advisory :class:`~repro.analysis.cache_index.CacheIndex`
-        over this root (created lazily)."""
-        if self._index is None:
-            from repro.analysis.cache_index import CacheIndex
-            self._index = CacheIndex(self.root)
-        return self._index
-
-    def flush_index(self) -> None:
-        """Flush buffered index deltas (no-op for untracked caches)."""
-        if self.track and self._index is not None:
-            self._index.flush()
 
     def key(self, config: SystemConfig, protocol: str, workload_name: str,
             scale: float, max_cycles: int,
@@ -432,15 +414,10 @@ class ResultCache:
             if not isinstance(payload, dict) or payload.get("schema") != schema:
                 raise ValueError("stale payload schema")
         except FileNotFoundError:
-            self.misses += 1
             return None
         except (ValueError, OSError):
             self._discard_corrupt(path, read_stat)
-            self.misses += 1
             return None
-        self.hits += 1
-        if self.track:
-            self.index.record_hit(key)
         return payload
 
     def _discard_corrupt(self, path: Path, read_stat) -> None:
@@ -485,9 +462,6 @@ class ResultCache:
             blob = json.dumps(payload, sort_keys=True)
             tmp.write_text(blob, encoding="utf-8")
             tmp.replace(path)
-            if self.track:
-                self.index.record_put(key, payload,
-                                      len(blob.encode("utf-8")))
         except OSError as exc:
             # Don't leave the per-pid tmp behind (e.g. when the final rename
             # failed) — stale tmps would accumulate in shared cache roots.
@@ -499,6 +473,150 @@ class ResultCache:
             self.enabled = False
             print(f"warning: result cache at {self.root} is unusable ({exc}); "
                   f"continuing without caching", file=sys.stderr)
+
+
+def iter_entry_files(root: Union[str, Path]) -> Iterator[Path]:
+    """Entry files of a cache tree, in deterministic order: the
+    ``<key[:2]>/<key>.json`` files :class:`ResultCache` writes.  Its
+    per-pid ``*.tmp`` files, and anything at the root, are never
+    entries."""
+    yield from sorted(Path(root).glob("*/*.json"))
+
+
+def read_entry(path: Path) -> Optional[Dict[str, object]]:
+    """Read one cache entry file **without mutating anything** — unlike
+    :meth:`ResultCache.get` this never unlinks a torn entry, so reports,
+    diffs, merges and GC are safe over foreign snapshots.  Returns
+    ``None`` for a missing or unreadable file, unreadable JSON or a
+    payload that is stale/alien for its own declared kind."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, OSError):
+        return None
+    if not payload_is_current(payload):
+        return None
+    return payload
+
+
+def entry_kind(path: Path) -> str:
+    """The cell kind of one entry file, or ``"?"`` when it does not parse
+    or is stale (it has no trustworthy kind)."""
+    payload = read_entry(path)
+    return "?" if payload is None else str(payload.get("kind", "stats"))
+
+
+#: Orphaned per-pid ``*.tmp`` files younger than this many seconds are left
+#: alone by GC: their writer may still be mid-``put``.
+TMP_GRACE_SECONDS = 3600.0
+
+
+@dataclass
+class GCReport:
+    """Outcome of one :func:`collect_garbage` pass."""
+
+    examined: int = 0
+    removed: List[str] = field(default_factory=list)
+    bytes_freed: int = 0
+    remaining_entries: int = 0
+    remaining_bytes: int = 0
+    tmps_removed: int = 0
+    errors: List[str] = field(default_factory=list)
+    dry_run: bool = False
+
+    def describe(self) -> str:
+        verb = "would remove" if self.dry_run else "removed"
+        return (f"{verb} {len(self.removed)} of {self.examined} entries "
+                f"({self.bytes_freed} bytes), {self.tmps_removed} orphaned "
+                f"tmp file(s); {self.remaining_entries} entries "
+                f"({self.remaining_bytes} bytes) remain"
+                + (f"; {len(self.errors)} error(s)" if self.errors else ""))
+
+
+def collect_garbage(root: Union[str, Path],
+                    max_bytes: Optional[int] = None,
+                    max_age: Optional[float] = None,
+                    kinds: Optional[Sequence[str]] = None,
+                    now: Optional[float] = None,
+                    dry_run: bool = False) -> GCReport:
+    """Evict cache entries, oldest-written first by entry mtime.
+    Crash-safe by construction: eviction only unlinks entry files, each
+    removal atomic, so a crash mid-GC leaves a smaller, fully valid cache.
+
+    Policies compose (any entry matching either goes, oldest first):
+
+    * ``max_age``: remove entries written more than ``max_age`` seconds
+      before ``now``.
+    * ``max_bytes``: remove the oldest-written entries until the tree's
+      total entry bytes fit the budget.
+    * ``kinds``: restrict eviction to the named cell kinds.  Only then are
+      entries parsed; one that does not parse or is stale has no kind and
+      is evictable under any filter.  Entries of other kinds are kept *and
+      still count* toward ``max_bytes`` — the report shows the remaining
+      total so a missed budget is visible.
+
+    Orphaned per-pid ``*.tmp`` files older than :data:`TMP_GRACE_SECONDS`
+    are always removed (a crashed writer's leftovers; live writers rename
+    theirs away within one ``put``).
+
+    Unremovable files (e.g. a read-only root) are reported in
+    ``errors``, never raised.
+    """
+    root = Path(root)
+    now = time.time() if now is None else now
+    report = GCReport(dry_run=dry_run)
+
+    candidates: List[Tuple[float, str, Path, int]] = []
+    for path in iter_entry_files(root):
+        try:
+            stat = path.stat()
+        except OSError:
+            continue  # a concurrent GC got there first
+        candidates.append((stat.st_mtime, path.stem, path, stat.st_size))
+    candidates.sort()
+    report.examined = len(candidates)
+    total_bytes = sum(size for _, _, _, size in candidates)
+
+    evictable = candidates
+    if kinds:
+        allowed = set(kinds) | {"?"}
+        evictable = [c for c in candidates if entry_kind(c[2]) in allowed]
+    doomed = []
+    if max_age is not None:
+        doomed = [c for c in evictable if c[0] < now - max_age]
+    if max_bytes is not None:
+        budget = total_bytes - sum(c[3] for c in doomed)
+        for candidate in evictable[len(doomed):]:
+            if budget <= max_bytes:
+                break
+            doomed.append(candidate)
+            budget -= candidate[3]
+
+    for _, key, path, size in doomed:
+        if not dry_run:
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                pass  # a concurrent GC/writer got there first
+            except OSError as exc:
+                report.errors.append(f"{key}: {exc}")
+                continue
+        report.removed.append(key)
+        report.bytes_freed += size
+    report.remaining_entries = report.examined - len(report.removed)
+    report.remaining_bytes = total_bytes - report.bytes_freed
+
+    for tmp in sorted(root.glob("*/*.tmp")):
+        try:
+            if now - tmp.stat().st_mtime < TMP_GRACE_SECONDS:
+                continue
+            if not dry_run:
+                tmp.unlink()
+            report.tmps_removed += 1
+        except FileNotFoundError:
+            report.tmps_removed += 1
+        except OSError as exc:
+            report.errors.append(f"{tmp.name}: {exc}")
+    return report
 
 
 class MatrixExecutor:
@@ -647,20 +765,14 @@ class MatrixExecutor:
                 pending.append((protocol, workload_name, key))
 
         failures: Dict[int, WorkloadValidationError] = {}
-        try:
-            for index, outcome in self._simulate(pending):
-                if isinstance(outcome, WorkloadValidationError):
-                    failures[index] = outcome
-                    continue
-                protocol, workload_name, key = pending[index]
-                self.simulations_run += 1
-                self._store(key, outcome)
-                results[(protocol, workload_name)] = self.kind.decode(outcome)
-        finally:
-            # Index records buffered by put/get must survive a failing cell
-            # (the valid siblings were cached; their metadata should be too).
-            if self.cache is not None:
-                self.cache.flush_index()
+        for index, outcome in self._simulate(pending):
+            if isinstance(outcome, WorkloadValidationError):
+                failures[index] = outcome
+                continue
+            protocol, workload_name, key = pending[index]
+            self.simulations_run += 1
+            self._store(key, outcome)
+            results[(protocol, workload_name)] = self.kind.decode(outcome)
         if failures:
             raise failures[min(failures)]
         return results

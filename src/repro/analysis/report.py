@@ -43,10 +43,9 @@ from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
-from repro.analysis.cache_index import indexed_kinds, iter_entry_files
 from repro.analysis.parallel import (CellKind, ReportField, ResultCache,
-                                     get_cell_kind, payload_is_current,
-                                     report_fields)
+                                     get_cell_kind, iter_entry_files,
+                                     read_entry, report_fields)
 from repro.analysis.shard import plan_sweep
 from repro.analysis.tables import format_series_table, format_table
 
@@ -197,21 +196,6 @@ def render_table(table: ReportTable, fmt: str = "terminal") -> str:
 
 
 # -------------------------------------------------------- reading the cache
-
-def read_entry(path: Path) -> Optional[Dict[str, object]]:
-    """Read one cache entry file **without mutating anything** — unlike
-    ``ResultCache.get`` this never unlinks a torn entry or records an index
-    hit, so reports and diffs are safe over foreign snapshots.  Returns
-    ``None`` for unreadable JSON or a payload that is stale/alien for its
-    own declared kind."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, OSError):
-        return None
-    if not payload_is_current(payload):
-        return None
-    return payload
-
 
 def _cache_root(cache: Union[str, Path, ResultCache]) -> Path:
     return cache.root if isinstance(cache, ResultCache) else Path(cache)
@@ -399,11 +383,12 @@ class SpecReport:
         """Aggregate whatever the cache holds for ``spec`` — a pure read
         (never simulates, never mutates the tree); absent or invalid
         entries leave holes reported as ``—``."""
-        root = _cache_root(cache)
+        if not isinstance(cache, ResultCache):
+            cache = ResultCache(Path(cache))
         kind = get_cell_kind(getattr(spec, "cell_kind", "stats"))
         cells: Dict[Tuple[str, str, int, float], object] = {}
         for cell in plan_sweep(spec, shard_count=1).cells:
-            payload = read_entry(root / cell.key[:2] / f"{cell.key}.json")
+            payload = read_entry(cache.path(cell.key))
             if payload is None or payload.get("kind", "stats") != kind.name:
                 continue
             cells[(cell.protocol, cell.workload, cell.cores, cell.scale)] = \
@@ -675,22 +660,14 @@ def gather_cells(cache: Union[str, Path, ResultCache],
     cell kind (cells of different kinds have different declared columns, so
     they cannot share a table).
 
-    A pure tree scan — torn or alien entries are skipped, nothing is
-    mutated.  ``kind``/``protocol``/``workload`` narrow the match;
-    identity columns come from the payload itself (every bundled kind
-    writes ``protocol``/``workload`` into its payload).  When a ``kind``
-    filter is given, the advisory metadata index (when present and in
-    sync) lets the scan skip parsing entries it already classifies as
-    another kind; unindexed entries are still parsed and filtered by
-    payload, so a stale or absent index only costs speed, never rows.
+    A pure tree scan that parses every entry — torn or alien entries are
+    skipped, nothing is mutated.  ``kind``/``protocol``/``workload``
+    narrow the match; identity columns come from the payload itself
+    (every bundled kind writes ``protocol``/``workload`` into its
+    payload).  This is the cache listing ``repro report cache`` prints.
     """
-    root = _cache_root(cache)
-    known_kinds = indexed_kinds(root) if kind is not None else {}
     grouped: Dict[str, List[Tuple[str, Dict[str, object]]]] = {}
-    for path in iter_entry_files(root):
-        indexed = known_kinds.get(path.stem)
-        if kind is not None and indexed is not None and indexed != kind:
-            continue
+    for path in iter_entry_files(_cache_root(cache)):
         payload = read_entry(path)
         if payload is None:
             continue

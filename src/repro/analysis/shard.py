@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.parallel import (CACHE_SCHEMA_VERSION, cell_key,
-                                     payload_is_current)
+                                     iter_entry_files, read_entry)
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION
 
@@ -188,18 +188,6 @@ class MergeReport:
         return self.merged + self.already_present + self.invalid
 
 
-def _valid_entry(path: Path) -> bool:
-    """Whether a cache entry file exists and holds a current-schema payload
-    for its own cell kind.  A corrupt or stale entry must not satisfy a
-    merge or completeness check — ``ResultCache.get`` would treat it as a
-    miss."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return payload_is_current(payload)
-    except (ValueError, OSError):
-        return False
-
-
 def merge_results(sources: Iterable[Union[str, Path]], dest) -> MergeReport:
     """Merge shard result directories into a destination cache.
 
@@ -234,16 +222,13 @@ def merge_results(sources: Iterable[Union[str, Path]], dest) -> MergeReport:
     # several source directories is parsed against the destination once.
     settled = set()
     for source in sources:
-        for path in sorted(Path(source).glob("*/*.json")):
+        for path in iter_entry_files(source):
             key = path.stem
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                if not payload_is_current(payload):
-                    raise ValueError("stale payload schema")
-            except (ValueError, OSError):
+            payload = read_entry(path)
+            if payload is None:
                 report.invalid += 1
                 continue
-            if key in settled or _valid_entry(dest.path(key)):
+            if key in settled or read_entry(dest.path(key)) is not None:
                 settled.add(key)
                 report.already_present += 1
                 continue
@@ -258,10 +243,6 @@ def merge_results(sources: Iterable[Union[str, Path]], dest) -> MergeReport:
                     f"after merging {report.merged} entries")
             settled.add(key)
             report.merged += 1
-    # Merged entries went through dest.put, so the destination's advisory
-    # metadata index already has their records buffered; persist them so
-    # `repro cache stats`/`gc` see the merge without a rebuild.
-    dest.flush_index()
     return report
 
 
@@ -272,4 +253,4 @@ def missing_cells(spec, cache) -> List[PlannedCell]:
     would treat them."""
     plan = plan_sweep(spec, shard_count=1)
     return [cell for cell in plan.cells
-            if not _valid_entry(cache.path(cell.key))]
+            if read_entry(cache.path(cell.key)) is None]

@@ -28,10 +28,9 @@ Exposes the most common operations without writing Python::
     python -m repro report sweep ci-smoke            # normalized tables, no sims
     python -m repro report dash -o dashboard.html    # static HTML dashboard
     python -m repro report diff cacheA cacheB --fail-on changed
-    python -m repro cache stats                      # indexed result-cache totals
-    python -m repro cache ls --kind fuzz --limit 20
-    python -m repro cache verify                     # index vs tree (exit 1 on drift)
-    python -m repro cache gc --max-bytes 256M --max-age 7d
+    python -m repro report cache --kind fuzz         # list cached cells
+    python -m repro cache stats                      # per-kind totals (tree scan)
+    python -m repro cache gc --max-bytes 256M --max-age 7d   # oldest-written first
 
 Every sub-command prints a plain-text table (the same renderers the
 benchmark harness uses) and exits non-zero if a correctness check fails
@@ -57,10 +56,10 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.cache_index import CacheIndex, collect_garbage
 from repro.analysis.parallel import (DEFAULT_CACHE_DIR, MatrixExecutor,
                                      ResultCache, WorkloadValidationError,
-                                     _default_results_root)
+                                     _default_results_root, collect_garbage,
+                                     entry_kind, iter_entry_files)
 from repro.analysis.report import (FIGURE2_CORES, FIGURE2_TITLE, FIGURES,
                                    ReportTable, SpecReport, diff_snapshots,
                                    gather_cells, render_dashboard,
@@ -109,7 +108,6 @@ def _int_at_least(minimum: int, name: str):
 
 
 _positive_int = _int_at_least(1, "positive int")
-_non_negative_int = _int_at_least(0, "non-negative int")
 
 
 def _positive_int_list(value: str) -> List[int]:
@@ -861,7 +859,7 @@ def _parse_scaled(value: str, suffixes, what: str) -> float:
     except (ValueError, KeyError):
         raise malformed from None
     if result <= 0:
-        # A zero or negative budget/age would flow into the LRU policy as
+        # A zero or negative budget/age would flow into the GC policy as
         # an evict-everything bound; reject it like any malformed value.
         raise malformed
     return result
@@ -877,83 +875,28 @@ def parse_age(value: str) -> float:
     return _parse_scaled(value, _AGE_SUFFIXES, "age")
 
 
-def _cache_index(args: argparse.Namespace) -> CacheIndex:
-    return CacheIndex(Path(args.cache_dir))
-
-
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    totals = _cache_index(args).stats()
     now = time.time()
-    rows = [{
-        "kind": kind,
-        "entries": bucket["entries"],
-        "bytes": bucket["bytes"],
-        "oldest_hit_age_s": int(now - bucket["oldest_hit"])
-        if bucket["oldest_hit"] else "-",
-        "newest_hit_age_s": int(now - bucket["newest_hit"])
-        if bucket["newest_hit"] else "-",
-    } for kind, bucket in sorted(totals.items())]
-    rows.append({
-        "kind": "TOTAL",
-        "entries": sum(b["entries"] for b in totals.values()),
-        "bytes": sum(b["bytes"] for b in totals.values()),
-        "oldest_hit_age_s": "", "newest_hit_age_s": "",
-    })
-    print(format_table(rows, title=f"Result-cache index at {args.cache_dir}"))
-    if not totals:
-        print("(empty index; if the tree has entries, run "
-              "'repro cache rebuild')")
-    return 0
-
-
-def _cmd_cache_ls(args: argparse.Namespace) -> int:
-    entries = _cache_index(args).load()
-    if args.kind:
-        entries = {key: record for key, record in entries.items()
-                   if record.get("kind") == args.kind}
-    sort_field = {"last-hit": "last_hit", "created": "created",
-                  "size": "size"}[args.sort]
-    ordered = sorted(entries.items(),
-                     key=lambda item: item[1].get(sort_field, 0.0),
-                     reverse=True)
-    if args.limit is not None:
-        ordered = ordered[:args.limit]
-    now = time.time()
-    rows = [{
-        "key": key[:12],
-        "kind": record.get("kind", "?"),
-        "size": record.get("size", "?"),
-        "hit_age_s": int(now - float(record.get("last_hit", now))),
-        "workload": record.get("summary", {}).get("workload", ""),
-        "protocol": record.get("summary", {}).get("protocol", ""),
-    } for key, record in ordered]
-    print(format_table(rows, title=f"{len(entries)} indexed entr"
-                                   f"{'y' if len(entries) == 1 else 'ies'}"))
-    return 0
-
-
-def _cmd_cache_verify(args: argparse.Namespace) -> int:
-    report = _cache_index(args).verify()
-    print(report.describe())
-    if report.in_sync:
-        print("OK: index and tree agree")
-        return 0
-    for label, keys in (("missing from index", report.missing_from_index),
-                        ("missing from tree", report.missing_from_tree),
-                        ("metadata mismatch", report.mismatched),
-                        ("invalid payload", report.invalid)):
-        for key in keys[:10]:
-            print(f"  {label}: {key}", file=sys.stderr)
-        if len(keys) > 10:
-            print(f"  ... and {len(keys) - 10} more {label}", file=sys.stderr)
-    print("run 'repro cache rebuild' to resynchronize the index "
-          "(and 'repro cache gc' to reap invalid entries)", file=sys.stderr)
-    return 1
-
-
-def _cmd_cache_rebuild(args: argparse.Namespace) -> int:
-    entries = _cache_index(args).rebuild()
-    print(f"rebuilt index at {args.cache_dir}: {len(entries)} entries")
+    rows = {}
+    for path in iter_entry_files(args.cache_dir):
+        try:
+            stat = path.stat()
+        except OSError:
+            continue  # removed by a concurrent gc
+        age = int(now - stat.st_mtime)
+        for kind in (entry_kind(path), "TOTAL"):
+            row = rows.setdefault(kind, {
+                "kind": kind, "entries": 0, "bytes": 0,
+                "oldest_write_age_s": age, "newest_write_age_s": age})
+            row["entries"] += 1
+            row["bytes"] += stat.st_size
+            row["oldest_write_age_s"] = max(row["oldest_write_age_s"], age)
+            row["newest_write_age_s"] = min(row["newest_write_age_s"], age)
+    total = rows.pop("TOTAL", {
+        "kind": "TOTAL", "entries": 0, "bytes": 0,
+        "oldest_write_age_s": "-", "newest_write_age_s": "-"})
+    print(format_table([rows[kind] for kind in sorted(rows)] + [total],
+                       title=f"Result cache at {args.cache_dir}"))
     return 0
 
 
@@ -980,9 +923,6 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     handlers = {
         "stats": _cmd_cache_stats,
-        "ls": _cmd_cache_ls,
-        "verify": _cmd_cache_verify,
-        "rebuild": _cmd_cache_rebuild,
         "gc": _cmd_cache_gc,
     }
     return handlers[args.cache_command](args)
@@ -1500,8 +1440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser(
         "cache",
-        help="inspect, verify, rebuild and garbage-collect the indexed "
-             "result cache")
+        help="summarize and garbage-collect the result cache by write age")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
 
     def add_cache_dir(command: argparse.ArgumentParser) -> None:
@@ -1510,40 +1449,20 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: benchmarks/results/cache)")
 
     cache_stats = cache_sub.add_parser(
-        "stats", help="per-kind entry/byte totals from the metadata index")
+        "stats",
+        help="per-kind entry/byte totals and write ages from a tree scan")
     add_cache_dir(cache_stats)
-
-    cache_ls = cache_sub.add_parser(
-        "ls", help="list indexed entries with kind, size and last-hit age")
-    add_cache_dir(cache_ls)
-    cache_ls.add_argument("--kind", default=None,
-                          help="only entries of this cell kind")
-    cache_ls.add_argument("--sort", choices=["last-hit", "created", "size"],
-                          default="last-hit",
-                          help="sort order, descending (default: last-hit)")
-    cache_ls.add_argument("--limit", type=_non_negative_int, default=None,
-                          help="show at most N entries")
-
-    cache_verify = cache_sub.add_parser(
-        "verify",
-        help="reconcile the index against the entry tree "
-             "(exit 1 on any divergence)")
-    add_cache_dir(cache_verify)
-
-    cache_rebuild = cache_sub.add_parser(
-        "rebuild", help="rebuild the index from a full tree scan")
-    add_cache_dir(cache_rebuild)
 
     cache_gc = cache_sub.add_parser(
         "gc",
-        help="evict entries LRU by last hit (--max-bytes/--max-age/--kind) "
-             "and reap orphaned tmp files")
+        help="evict the oldest-written entries first "
+             "(--max-bytes/--max-age/--kind) and reap orphaned tmp files")
     add_cache_dir(cache_gc)
     cache_gc.add_argument("--max-bytes", default=None, metavar="SIZE",
                           help="shrink the cache to at most SIZE "
                                "(plain bytes or 64M/2G)")
     cache_gc.add_argument("--max-age", default=None, metavar="AGE",
-                          help="drop entries not hit within AGE "
+                          help="drop entries written more than AGE ago "
                                "(seconds or 90m/12h/7d)")
     cache_gc.add_argument("--kind", action="append", default=None,
                           help="restrict eviction to this cell kind "

@@ -1,6 +1,6 @@
 """A cheap, deterministic cell kind for cache tests.
 
-The cache/index machinery is kind-agnostic; the concurrency, fault and
+The cache machinery is kind-agnostic; the concurrency, fault and
 report suites need cells that are *instant* so N-process stress runs spend
 their time on the storage layer, not in the simulator.  ``simulate`` is a
 pure hash of the cell inputs — byte-identical across processes and runs,

@@ -120,8 +120,7 @@ def test_pool_matches_inline_payloads_and_cache_keys(tmp_path):
         assert canonical(inline_results[cell]) == canonical(pooled_results[cell])
     # Identical cache keys: the same entry files exist on both sides, with
     # byte-identical payloads.
-    # Entry files only: the advisory index (index-v1.json at the root)
-    # carries wall-clock timestamps and is not part of the payload contract.
+    # The entry files are the whole cache.
     inline_entries = {p.name: p.read_text()
                       for p in (tmp_path / "inline").glob("*/*.json")}
     pooled_entries = {p.name: p.read_text()

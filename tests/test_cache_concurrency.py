@@ -1,7 +1,7 @@
 """Concurrency stress for the shared cache root.
 
 N forked workers drive real :class:`MatrixExecutor` runs and mixed
-put/get/gc/rebuild loops against one cache root.  The multi-writer
+put/get/gc loops against one cache root.  The multi-writer
 contract under test: no lost entries, no duplicate simulation beyond the
 planned cold misses, payloads byte-identical to a serial run, and
 **never** a wrong payload or an exception — a concurrent GC or writer can
@@ -16,8 +16,8 @@ import multiprocessing
 from pathlib import Path
 
 import _cachekind  # noqa: F401  (registers the "cachetest" cell kind)
-from repro.analysis.cache_index import CacheIndex, collect_garbage
-from repro.analysis.parallel import (MatrixExecutor, ResultCache, cell_key)
+from repro.analysis.parallel import (MatrixExecutor, ResultCache, cell_key,
+                                     collect_garbage)
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION
 
@@ -98,16 +98,6 @@ def test_cold_then_warm_executor_fleet_loses_no_entries(tmp_path):
         serial_bytes = (serial_root / key[:2] / f"{key}.json").read_bytes()
         assert concurrent_bytes == serial_bytes
 
-    # The index written under concurrency reconciles against the tree
-    # after one rebuild (concurrent flushes may each have lost the other's
-    # metadata deltas — the documented advisory semantics — but rebuild
-    # heals from the tree, which lost nothing).
-    index = CacheIndex(root)
-    index.rebuild()
-    report = index.verify()
-    assert report.in_sync
-    assert report.entries == len(ALL_CELLS)
-
 
 # ------------------------------------------------------- mixed put/get/gc
 
@@ -122,8 +112,8 @@ def _stress_payload(i: int):
 
 
 def _run_stress(root: str, out_path: str, worker_id: int, rounds: int) -> None:
-    """Mixed put/get/gc/rebuild loop.  The one inviolable property: a get
-    returns either ``None`` or the exact payload for its key."""
+    """Mixed put/get/gc loop.  The one inviolable property: a get returns
+    either ``None`` or the exact payload for its key."""
     import random
 
     cache = ResultCache(Path(root))
@@ -138,11 +128,8 @@ def _run_stress(root: str, out_path: str, worker_id: int, rounds: int) -> None:
             payload = cache.get(_STRESS_KEYS[i])
             if payload is not None and payload != _stress_payload(i):
                 wrong += 1
-        elif op < 0.95:
-            collect_garbage(Path(root), max_bytes=6 * 200, index=cache.index)
         else:
-            cache.index.rebuild()
-    cache.flush_index()
+            collect_garbage(Path(root), max_bytes=6 * 200)
     Path(out_path).write_text(json.dumps({"wrong": wrong}), encoding="utf-8")
 
 
@@ -165,8 +152,3 @@ def test_mixed_put_get_gc_swarm_never_serves_wrong_bytes(tmp_path):
         i = _STRESS_KEYS.index(path.stem)
         assert json.loads(path.read_text(encoding="utf-8")) == \
             _stress_payload(i)
-    # And the index heals to exactly the surviving tree.
-    index = CacheIndex(root)
-    index.rebuild()
-    assert index.verify().in_sync
-    assert len(index.load()) == len(survivors)

@@ -1,12 +1,11 @@
-"""Fault injection against the result cache, its index and GC.
+"""Fault injection against the result cache and its GC.
 
 Every fault a shared cache root can exhibit — torn/truncated entries,
-orphaned per-pid tmp files, index/tree divergence in both directions,
-failed renames, an unwritable root — must degrade to a cache miss or a
-rebuilt index.  Never an exception on the lookup path, and never a wrong
-payload.  The torn-read/concurrent-replace cases pin the conditional
-unlink in ``ResultCache._discard_corrupt``: a reader that judged stale
-bytes may only remove the exact file it read.
+orphaned per-pid tmp files, failed renames, an unwritable root — must
+degrade to a cache miss.  Never an exception on the lookup path, and
+never a wrong payload.  The torn-read/concurrent-replace cases pin the
+conditional unlink in ``ResultCache._discard_corrupt``: a reader that
+judged stale bytes may only remove the exact file it read.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ import pytest
 
 import repro.analysis.parallel as parallel
 from _cachekind import CACHETEST_SCHEMA, simulate_cachetest_cell
-from repro.analysis.cache_index import (INDEX_BASENAME, CacheIndex,
-                                        collect_garbage, iter_entry_files)
-from repro.analysis.parallel import MatrixExecutor, ResultCache, cell_key
+from repro.analysis.parallel import (MatrixExecutor, ResultCache, cell_key,
+                                     collect_garbage)
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION
 
@@ -54,7 +52,6 @@ def test_corrupt_entry_is_a_miss_and_is_discarded(tmp_path, corrupt):
     path.write_text(corrupt, encoding="utf-8")
 
     assert cache.get(key) is None
-    assert cache.misses == 1
     assert not path.exists()  # same file that was judged: removed
     # The next lookup is a clean miss (no exception, no stale bytes).
     assert cache.get(key) is None
@@ -132,58 +129,10 @@ def test_corrupt_entry_heals_through_the_executor(tmp_path):
         simulate_cachetest_cell(config, "MESI", "fft", 0.2, 1000)
 
 
-# --------------------------------------------------------------- torn index
-
-
-@pytest.mark.parametrize("garbage", [
-    "", "{", "[1,2]", json.dumps({"schema": 999, "entries": {}}),
-    json.dumps({"schema": 1, "entries": "nope"}),
-])
-def test_torn_or_alien_index_degrades_to_empty_never_raises(tmp_path, garbage):
-    cache = ResultCache(tmp_path)
-    key = _seed(cache)
-    cache.flush_index()
-    (tmp_path / INDEX_BASENAME).write_text(garbage, encoding="utf-8")
-
-    index = CacheIndex(tmp_path)
-    assert index.load() == {}
-    assert index.stats() == {}
-    # Lookups never consult the index: still a hit.
-    assert cache.get(key) is not None
-    # Verify sees the divergence; rebuild replaces the garbage atomically.
-    assert not index.verify().in_sync
-    assert set(index.rebuild()) == {key}
-    assert index.verify().in_sync
-
-
-def test_index_divergence_both_ways_is_detected_and_healed(tmp_path):
-    cache = ResultCache(tmp_path)
-    keep = _seed(cache, 0)
-    doomed = _seed(cache, 1)
-    cache.flush_index()
-    cache.path(doomed).unlink()          # tree lost an indexed entry
-    orphan = _seed(ResultCache(tmp_path, track=False), 2)  # unindexed entry
-
-    index = cache.index
-    report = index.verify()
-    assert report.missing_from_tree == [doomed]
-    assert report.missing_from_index == [orphan]
-
-    # GC over the divergent state must not raise; the orphan is governed
-    # by its file mtime (fresh → kept under any sane age policy).
-    gc = collect_garbage(tmp_path, max_age=10 * 365 * 86400.0, index=index)
-    assert gc.errors == []
-    assert {p.stem for p in iter_entry_files(tmp_path)} == {keep, orphan}
-
-    index.rebuild()
-    assert index.verify().in_sync
-    assert set(index.load()) == {keep, orphan}
-
-
 # ----------------------------------------------------------- failed renames
 
 
-def test_put_rename_failure_leaves_no_tmp_no_ghost_index_record(
+def test_put_rename_failure_leaves_no_tmp_and_no_entry(
         tmp_path, monkeypatch, capsys):
     cache = ResultCache(tmp_path)
     real_replace = Path.replace
@@ -202,26 +151,19 @@ def test_put_rename_failure_leaves_no_tmp_no_ghost_index_record(
     assert "unusable" in capsys.readouterr().err
     assert list(tmp_path.rglob("*.tmp")) == []          # no tmp litter
     assert not cache.path(key).exists()
-    cache.flush_index()
-    assert key not in CacheIndex(tmp_path).load()       # no ghost record
 
 
 def test_orphaned_tmps_from_a_crashed_writer_are_reaped(tmp_path):
     cache = ResultCache(tmp_path)
     key = _seed(cache)
-    cache.flush_index()
-    # A crashed writer's leftovers: per-pid tmps next to entries and at the
-    # root (an index writer's).
+    # A crashed writer's leftover: a per-pid tmp next to the entries.
     subdir_tmp = cache.path(key).with_suffix(".9999.tmp")
     subdir_tmp.write_text("{", encoding="utf-8")
     os.utime(subdir_tmp, (0.0, 0.0))
-    root_tmp = tmp_path / f"index-v1.9999.tmp"
-    root_tmp.write_text("{", encoding="utf-8")
-    os.utime(root_tmp, (0.0, 0.0))
 
-    report = collect_garbage(tmp_path, index=cache.index)
-    assert report.tmps_removed == 2
-    assert not subdir_tmp.exists() and not root_tmp.exists()
+    report = collect_garbage(tmp_path)
+    assert report.tmps_removed == 1
+    assert not subdir_tmp.exists()
     assert cache.get(key) is not None  # entries untouched
 
 
@@ -236,7 +178,6 @@ def test_unwritable_root_serves_reads_and_degrades_writes(tmp_path, monkeypatch,
     also holds when running as root (chmod is advisory for uid 0)."""
     cache = ResultCache(tmp_path)
     keys = [_seed(cache, i) for i in range(3)]
-    cache.flush_index()
 
     real_write_text = Path.write_text
     real_unlink = Path.unlink
@@ -257,10 +198,6 @@ def test_unwritable_root_serves_reads_and_degrades_writes(tmp_path, monkeypatch,
     # Reads still hit.
     for key in keys:
         assert cache.get(key) is not None
-    # Hit timestamps buffer; the flush fails quietly and re-buffers.
-    assert cache.index.buffered > 0
-    cache.flush_index()
-    assert cache.index.buffered > 0
 
     # Writes degrade: put disables with a warning, never raises.
     cache.put("%064x" % 99, _payload(99))
@@ -269,19 +206,13 @@ def test_unwritable_root_serves_reads_and_degrades_writes(tmp_path, monkeypatch,
 
     # GC reports unremovable files as errors, never raises.
     report = collect_garbage(tmp_path, max_age=0.0,
-                             now=os.stat(cache.path(keys[0])).st_mtime + 1e6,
-                             index=CacheIndex(tmp_path))
+                             now=os.stat(cache.path(keys[0])).st_mtime + 1e6)
     assert len(report.errors) == len(keys)
     assert report.removed == []
-
-    monkeypatch.undo()
-    # Root writable again: buffered hits flush cleanly.
-    assert cache.index.flush()
 
 
 def test_disabled_cache_never_touches_disk(tmp_path):
     cache = ResultCache(tmp_path, enabled=False)
     cache.put("%064x" % 1, _payload(1))
     assert cache.get("%064x" % 1) is None
-    cache.flush_index()
     assert list(tmp_path.iterdir()) == []

@@ -1,29 +1,28 @@
-"""Property-based tests for the index and GC invariants.
+"""Property-based tests for the GC invariants.
 
-A model-checking harness: random op sequences (put / hit / gc-by-age /
-gc-by-bytes / rebuild) run against a real cache tree **and** a pure
-in-memory model, under a logical clock (every ``now=`` is injected, so
-the properties are exact, not timing-dependent).  After every operation:
+A model-checking harness: random op sequences (put / gc-by-age /
+gc-by-bytes) run against a real cache tree **and** a pure in-memory
+model, under a logical clock (a put stamps its entry's mtime with the
+step number and every ``now=`` is injected, so the properties are exact,
+not timing-dependent).  After every operation:
 
-* the flushed index equals the model exactly (``rebuild(scan(tree))`` is
-  a fixpoint of an in-sync index);
-* ``stats()`` totals equal a fresh tree walk;
-* age-GC never removed an entry whose last hit is newer than the cutoff;
-* bytes-GC evicted in strict LRU order and landed within budget.
+* the tree holds exactly the model's entries, with their sizes;
+* age-GC removed exactly the entries written before the cutoff;
+* bytes-GC evicted oldest-written first and landed within budget.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cache_index import (CacheIndex, collect_garbage,
-                                        iter_entry_files, summarize_payload)
+from repro.analysis.parallel import collect_garbage, iter_entry_files
 from repro.sim.stats import STATS_SCHEMA_VERSION
 
 _KEYS = [hashlib.sha256(f"prop-{i}".encode()).hexdigest() for i in range(8)]
@@ -38,30 +37,21 @@ def _payload(i: int):
     return payload
 
 
-def _write_entry(root: Path, i: int) -> int:
+def _write_entry(root: Path, i: int, mtime: float) -> int:
     key = _KEYS[i]
     path = root / key[:2] / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     blob = json.dumps(_payload(i), sort_keys=True)
     path.write_text(blob, encoding="utf-8")
+    os.utime(path, (mtime, mtime))
     return len(blob.encode("utf-8"))
-
-
-def _model_record(i: int, size: int, created: float, last_hit: float):
-    payload = _payload(i)
-    return {"kind": payload.get("kind", "stats"),
-            "payload_schema": payload["schema"], "size": size,
-            "created": created, "last_hit": last_hit,
-            "summary": summarize_payload(payload)}
 
 
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.integers(0, len(_KEYS) - 1)),
-        st.tuples(st.just("hit"), st.integers(0, len(_KEYS) - 1)),
         st.tuples(st.just("gc_age"), st.integers(0, 12)),
         st.tuples(st.just("gc_bytes"), st.integers(0, 600)),
-        st.tuples(st.just("rebuild"), st.just(0)),
     ),
     min_size=1, max_size=24,
 )
@@ -69,90 +59,43 @@ _OPS = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(ops=_OPS)
-def test_index_and_gc_agree_with_a_pure_model(ops):
+def test_gc_agrees_with_a_pure_model(ops):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        index = CacheIndex(root)
-        model = {}  # key -> record dict, mirrored expectations
+        model = {}  # key -> (written, size), mirrored expectations
 
         for step, (op, arg) in enumerate(ops):
             now = float(step + 1)  # logical clock: unique, increasing
             if op == "put":
-                size = _write_entry(root, arg)
-                index.record_put(_KEYS[arg], _payload(arg), size, now=now)
-                model[_KEYS[arg]] = _model_record(arg, size, now, now)
-            elif op == "hit":
-                index.record_hit(_KEYS[arg], now=now)
-                if _KEYS[arg] in model:
-                    record = model[_KEYS[arg]]
-                    record["last_hit"] = max(record["last_hit"], now)
-                # else: a hit the index never saw a put for is dropped.
+                model[_KEYS[arg]] = (now, _write_entry(root, arg, now))
             elif op == "gc_age":
                 cutoff = now - float(arg)
-                report = collect_garbage(root, max_age=float(arg), now=now,
-                                         index=index)
-                # Invariant: nothing newer than the cutoff was removed.
-                for key in report.removed:
-                    assert model[key]["last_hit"] < cutoff
-                expected = {key for key, record in model.items()
-                            if record["last_hit"] < cutoff}
+                report = collect_garbage(root, max_age=float(arg), now=now)
+                # Invariant: nothing written after the cutoff was removed.
+                expected = {key for key, (written, _) in model.items()
+                            if written < cutoff}
                 assert set(report.removed) == expected
                 for key in report.removed:
                     del model[key]
-            elif op == "gc_bytes":
-                report = collect_garbage(root, max_bytes=arg, now=now,
-                                         index=index)
-                # Strict LRU: survivors are exactly the hottest suffix that
-                # fits the budget (timestamps are unique by construction).
-                order = sorted(model.items(),
-                               key=lambda item: item[1]["last_hit"])
-                total = sum(record["size"] for _, record in order)
+            else:  # gc_bytes
+                report = collect_garbage(root, max_bytes=arg, now=now)
+                # Oldest-written first: survivors are exactly the newest
+                # suffix that fits the budget (write times are unique).
+                order = sorted(model.items(), key=lambda item: item[1][0])
+                total = sum(size for _, (_, size) in order)
                 doomed = []
-                for key, record in order:
+                for key, (_, size) in order:
                     if total <= arg:
                         break
                     doomed.append(key)
-                    total -= record["size"]
-                assert sorted(report.removed) == sorted(doomed)
+                    total -= size
+                assert report.removed == doomed
                 assert report.remaining_bytes == total
                 assert report.remaining_bytes <= arg or not model
                 for key in report.removed:
                     del model[key]
-            else:  # rebuild
-                index.flush()
-                rebuilt = index.rebuild(now=now)
-                assert rebuilt == model  # fixpoint: timestamps preserved
 
-            # --- invariants after every op ---------------------------------
-            assert index.flush()
-            on_disk = index.load()
-            assert on_disk == model
-
-            # stats() totals equal a fresh tree walk.
-            walked_files = list(iter_entry_files(root))
-            totals = index.stats()
-            assert sum(b["entries"] for b in totals.values()) == \
-                len(walked_files)
-            assert sum(b["bytes"] for b in totals.values()) == \
-                sum(path.stat().st_size for path in walked_files)
-
-            # verify() agrees the index faithfully describes the tree.
-            assert index.verify().in_sync
-
-
-@settings(max_examples=40, deadline=None)
-@given(puts=st.sets(st.integers(0, len(_KEYS) - 1), min_size=0, max_size=8))
-def test_rebuild_of_any_tree_indexes_exactly_the_tree(puts):
-    """rebuild(scan(tree)) == tree, from any starting index state
-    (including none at all)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        sizes = {_KEYS[i]: _write_entry(root, i) for i in puts}
-        index = CacheIndex(root)
-        entries = index.rebuild(now=100.0)
-        assert set(entries) == set(sizes)
-        for key, record in entries.items():
-            assert record["size"] == sizes[key]
-        assert index.verify().in_sync
-        # A second rebuild changes nothing.
-        assert index.rebuild(now=200.0) == entries
+            # --- invariant after every op: the tree is the model ---------
+            assert {path.stem: path.stat().st_size
+                    for path in iter_entry_files(root)} == \
+                {key: size for key, (_, size) in model.items()}

@@ -113,8 +113,7 @@ def test_parser_requires_command():
     (["protocols", "--cores", "0"], "--cores"),
     (["figure", "3", "--cores", "0", "--workloads", "fft"], "--cores"),
     (["litmus", "--iterations", "0", "--tests", "MP"], "--iterations"),
-    (["cache", "ls", "--limit", "-1"], "--limit"),
-], ids=["storage", "protocols", "figure", "litmus", "cache-ls"])
+], ids=["storage", "protocols", "figure", "litmus"])
 def test_parser_rejects_malformed_counts(argv, flag, capsys):
     # A usage error naming the flag, before any work runs: no traceback,
     # and no litmus run that observes nothing and still reports a pass.

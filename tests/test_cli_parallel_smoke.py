@@ -32,7 +32,7 @@ def test_figure_cli_second_run_hits_cache(tmp_path, capsys):
             "--scale", "0.2", "--protocols", "MESI,TSO-CC-4-basic",
             "--jobs", "2", "--cache-dir", str(tmp_path)]
     assert main(args) == 0
-    # Entry files only (the advisory index-v1.json is not an entry).
+    # Entry files only: the tree is the whole cache.
     entries = list(tmp_path.glob("*/*.json"))
     assert len(entries) == 2  # one per (protocol, workload) cell
     mtimes = {path: path.stat().st_mtime_ns for path in entries}

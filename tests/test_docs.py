@@ -53,7 +53,7 @@ _CLI_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
 #: ``repro <command> [<sub-command>]`` (a reflowed span may break a line).
 _CLI_USE = re.compile(r"(?:python -m repro|`repro)\s+([^\s`]+)(?:\s+([^\s`]+))?")
 
-#: A sub-command word, or several joined by ``/`` (``cache stats/ls/gc``);
+#: A sub-command word, or several joined by ``/`` (``cache stats/gc``);
 #: anything else after the command (``...``, ``--help``) is not one.
 _SUBCOMMAND = re.compile(r"[a-z][a-z0-9-]*(?:/[a-z][a-z0-9-]*)*")
 

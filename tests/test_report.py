@@ -309,29 +309,6 @@ def test_gather_cells_mixed_kind_cache(warm, tmp_path):
     assert [row["protocol"] for row in only.rows] == ["MESI"]
 
 
-def test_gather_kind_filter_survives_index_states(warm, tmp_path):
-    """The advisory index accelerates kind-filtered gathers but must never
-    change their rows — absent, stale or lying indexes only cost speed."""
-    import shutil
-    from repro.analysis.cache_index import INDEX_BASENAME, indexed_kinds
-    _, cache_dir, _ = warm
-    # The sweep flushed an in-sync index; the helper reads it back.
-    kinds = indexed_kinds(cache_dir)
-    assert set(kinds.values()) == {"stats"} and len(kinds) == 2
-    baseline_rows = gather_cells(cache_dir, kind="stats")["stats"].rows
-    # No index at all: same rows.
-    unindexed = tmp_path / "unindexed"
-    shutil.copytree(cache_dir, unindexed)
-    (unindexed / INDEX_BASENAME).unlink()
-    assert indexed_kinds(unindexed) == {}
-    assert gather_cells(unindexed, kind="stats")["stats"].rows == baseline_rows
-    # Torn index: treated as absent, same rows.
-    torn = tmp_path / "torn-index"
-    shutil.copytree(cache_dir, torn)
-    (torn / INDEX_BASENAME).write_text('{"schema": 1, "entr')
-    assert gather_cells(torn, kind="stats")["stats"].rows == baseline_rows
-
-
 def test_spec_report_skips_alien_kind_at_same_key(warm, tmp_path):
     """A valid payload of the *wrong* kind under a spec's key must not be
     decoded as that spec's cells."""
