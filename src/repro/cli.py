@@ -94,28 +94,37 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _int_at_least(minimum: int, name: str):
-    """An argparse ``type=`` for an integer >= ``minimum``.  argparse turns
-    the ``ValueError`` of anything else into a usage error (exit 2) that
-    names the flag and ``name``, before the command runs."""
-    def parse(value: str) -> int:
-        number = int(value)
-        if number < minimum:
-            raise ValueError(value)
-        return number
+def _positive_int(value: str) -> int:
+    """An argparse ``type=`` for an integer >= 1.  argparse turns the
+    ``ValueError`` of anything else into a usage error (exit 2) that names
+    the flag and this function's ``__name__``, before the command runs."""
+    number = int(value)
+    if number < 1:
+        raise ValueError(value)
+    return number
+
+
+def _positive_float(value: str) -> float:
+    """An argparse ``type=`` for a finite float > 0."""
+    number = float(value)
+    if not 0 < number < float("inf"):
+        raise ValueError(value)
+    return number
+
+
+def _comma_list(parse_item, name: str):
+    """An argparse ``type=`` for a comma list of ``parse_item`` values."""
+    def parse(value: str) -> list:
+        return [parse_item(item) for item in _split(value) or [value]]
     parse.__name__ = name
     return parse
 
 
-_positive_int = _int_at_least(1, "positive int")
-
-
-def _positive_int_list(value: str) -> List[int]:
-    """An argparse ``type=`` for a comma list of positive integers."""
-    return [_positive_int(item) for item in _split(value) or [value]]
-
-
-_positive_int_list.__name__ = "comma list of positive ints"
+_positive_int.__name__ = "positive int"
+_positive_float.__name__ = "positive finite float"
+_positive_int_list = _comma_list(_positive_int, "comma list of positive ints")
+_positive_float_list = _comma_list(_positive_float,
+                                   "comma list of positive finite floats")
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -286,9 +295,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     try:
         spec = _sharded_spec(args)
-    except (KeyError, ValueError) as exc:
-        # Unknown sweep name, or malformed --cores/--scales overrides.
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+    except KeyError as exc:
+        # Unknown sweep name, or unregistered --protocols.
+        print(exc.args[0], file=sys.stderr)
         return 2
     if args.cells:
         rows = [{"cores": cores, "scale": scale, "protocol": protocol,
@@ -340,19 +349,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _sharded_spec(args: argparse.Namespace):
     """Resolve a named sweep with its axis overrides (shared by ``repro
-    sweep`` and the ``repro shard`` sub-commands).
+    sweep`` and the ``repro shard`` sub-commands).  argparse has already
+    range-checked ``--cores``/``--scales``.
 
     Raises:
         KeyError: unknown sweep name, or ``--protocols`` naming an
             unregistered configuration (caught here so ``shard plan`` does
             not emit manifests that can only fail at run time).
-        ValueError: malformed ``--cores``/``--scales`` overrides.
     """
     spec = get_sweep(args.name).subset(
-        protocols=_split(getattr(args, "protocols", None)),
-        workloads=_split(getattr(args, "workloads", None)),
-        cores=[int(c) for c in _split(getattr(args, "cores", None)) or []] or None,
-        scales=[float(s) for s in _split(getattr(args, "scales", None)) or []] or None,
+        protocols=_split(args.protocols),
+        workloads=_split(args.workloads),
+        cores=args.cores,
+        scales=args.scales,
     )
     spec.check_protocols()
     return spec
@@ -472,11 +481,11 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
     spec = None
     if args.name:
         # Resolve the sweep before touching the destination cache so a bad
-        # name or malformed axis override fails before any merging happens.
+        # name or protocol override fails before any merging happens.
         try:
             spec = _sharded_spec(args)
-        except (KeyError, ValueError) as exc:
-            print(exc.args[0] if exc.args else exc, file=sys.stderr)
+        except KeyError as exc:
+            print(exc.args[0], file=sys.stderr)
             return 2
     return _merge_into_cache(
         args, spec,
@@ -503,7 +512,6 @@ def _report_spec(args: argparse.Namespace):
     Raises:
         KeyError: the name matches neither registry, or an override names
             an unregistered protocol.
-        ValueError: malformed ``--cores``/``--scales`` overrides.
     """
     if args.name in SWEEPS:
         return _sharded_spec(args)
@@ -518,8 +526,8 @@ def _report_spec(args: argparse.Namespace):
 def _cmd_report_sweep(args: argparse.Namespace) -> int:
     try:
         spec = _report_spec(args)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
     report = SpecReport.from_cache(spec, Path(args.cache_dir),
                                    baseline=args.baseline)
@@ -1150,8 +1158,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_axis_overrides(command: argparse.ArgumentParser) -> None:
         command.add_argument("--protocols", help="override: comma-separated variant names")
         command.add_argument("--workloads", help="override: comma-separated workload subset")
-        command.add_argument("--cores", help="override: comma-separated core counts")
-        command.add_argument("--scales", help="override: comma-separated scale factors")
+        command.add_argument("--cores", type=_positive_int_list,
+                             help="override: comma-separated core counts")
+        command.add_argument("--scales", type=_positive_float_list,
+                             help="override: comma-separated scale factors")
 
     sub.add_parser("list", help="list protocol configurations and workloads")
 
@@ -1172,8 +1182,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--protocol", action="append",
                      help="protocol configuration (repeatable)")
     run.add_argument("--cores", type=int, default=8)
-    run.add_argument("--scale", type=float, default=0.35)
-    run.add_argument("--max-cycles", type=int, default=200_000_000)
+    run.add_argument("--scale", type=_positive_float, default=0.35)
+    run.add_argument("--max-cycles", type=_positive_int, default=200_000_000)
     add_executor_flags(run)
     add_shard_flags(run)
 
@@ -1182,7 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--workloads", help="comma-separated workload subset")
     figure.add_argument("--protocols", help="comma-separated protocol subset")
     figure.add_argument("--cores", type=_positive_int, default=8)
-    figure.add_argument("--scale", type=float, default=0.35)
+    figure.add_argument("--scale", type=_positive_float, default=0.35)
     figure.add_argument("--save", action="store_true",
                         help="also write the table to the results directory")
     figure.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR),
@@ -1491,8 +1501,9 @@ def build_parser() -> argparse.ArgumentParser:
                                help="protocol configuration of the capture "
                                     "run (default: MESI)")
     trace_capture.add_argument("--cores", type=int, default=8)
-    trace_capture.add_argument("--scale", type=float, default=0.35)
-    trace_capture.add_argument("--max-cycles", type=int, default=200_000_000)
+    trace_capture.add_argument("--scale", type=_positive_float, default=0.35)
+    trace_capture.add_argument("--max-cycles", type=_positive_int,
+                               default=200_000_000)
     trace_capture.add_argument("-o", "--output", default=None, metavar="STEM",
                                help="file stem (default: derived from the "
                                     "workload name)")
@@ -1511,7 +1522,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_replay.add_argument("--protocol", action="append",
                               help="protocol configuration (repeatable; "
                                    "default: MESI and TSO-CC-4-12-3)")
-    trace_replay.add_argument("--max-cycles", type=int, default=200_000_000)
+    trace_replay.add_argument("--max-cycles", type=_positive_int,
+                              default=200_000_000)
     add_trace_dir(trace_replay)
 
     trace_ls = trace_sub.add_parser("ls", help="list saved traces")

@@ -485,9 +485,10 @@ def test_cli_figure_reports_malformed_repro_shard(monkeypatch, capsys):
 
 def test_cli_shard_merge_rejects_bad_overrides_before_merging(tmp_path, capsys):
     dest = tmp_path / "dest"
-    code = main(["shard", "merge", "ci-smoke", "--from", str(tmp_path),
-                 "--cache-dir", str(dest), "--cores", "abc"])
-    assert code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["shard", "merge", "ci-smoke", "--from", str(tmp_path),
+              "--cache-dir", str(dest), "--cores", "abc"])
+    assert excinfo.value.code == 2  # argparse's usage error
     assert not dest.exists()  # nothing was merged before the failure
 
 
@@ -507,8 +508,10 @@ def test_cli_shard_plan_rejects_nonpositive_count(capsys):
 
 
 def test_cli_sweep_rejects_malformed_axis_overrides(capsys):
-    assert main(["sweep", "ci-smoke", "--cores", "abc", "--no-cache"]) == 2
-    assert "abc" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "ci-smoke", "--cores", "abc", "--no-cache"])
+    assert excinfo.value.code == 2  # argparse's usage error
+    assert "argument --cores: invalid" in capsys.readouterr().err
 
 
 def test_merge_replaces_corrupt_destination_entries(tmp_path):

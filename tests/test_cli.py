@@ -113,10 +113,21 @@ def test_parser_requires_command():
     (["protocols", "--cores", "0"], "--cores"),
     (["figure", "3", "--cores", "0", "--workloads", "fft"], "--cores"),
     (["litmus", "--iterations", "0", "--tests", "MP"], "--iterations"),
-], ids=["storage", "protocols", "figure", "litmus"])
+    (["run", "fft", "--cores", "2", "--scale", "-1", "--no-cache"],
+     "--scale"),
+    (["run", "fft", "--cores", "2", "--scale", "0.1", "--max-cycles", "0",
+      "--no-cache"], "--max-cycles"),
+    (["report", "sweep", "ci-smoke", "--cores", "0"], "--cores"),
+    (["shard", "plan", "ci-smoke", "--shard-count", "2", "--cores", "0"],
+     "--cores"),
+    (["sweep", "ci-smoke", "--scales", "-1", "--cells"], "--scales"),
+], ids=["storage", "protocols", "figure", "litmus", "run-scale",
+        "run-max-cycles", "report-sweep-cores", "shard-plan-cores",
+        "sweep-scales"])
 def test_parser_rejects_malformed_counts(argv, flag, capsys):
     # A usage error naming the flag, before any work runs: no traceback,
-    # and no litmus run that observes nothing and still reports a pass.
+    # no run at a clamped minimum size, and no litmus run that observes
+    # nothing and still reports a pass.
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
