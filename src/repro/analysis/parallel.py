@@ -585,6 +585,7 @@ def collect_garbage(root: Union[str, Path],
         doomed = [c for c in evictable if c[0] < now - max_age]
     if max_bytes is not None:
         budget = total_bytes - sum(c[3] for c in doomed)
+        # evictable is oldest first, so the age-doomed are its prefix.
         for candidate in evictable[len(doomed):]:
             if budget <= max_bytes:
                 break

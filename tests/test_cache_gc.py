@@ -54,10 +54,10 @@ def _write_entry(root, key, payload, mtime=None) -> int:
     return len(blob.encode("utf-8"))
 
 
-def _populate(tmp_path, count: int, kind: str = "stats"):
-    """``count`` entries written at mtime ``i`` (strictly increasing)."""
-    return {_key(i): _write_entry(tmp_path, _key(i),
-                                  _payload(i, kind=kind, filler=10),
+def _populate(tmp_path, count: int):
+    """``count`` stats entries written at mtime ``i`` (strictly
+    increasing)."""
+    return {_key(i): _write_entry(tmp_path, _key(i), _payload(i, filler=10),
                                   mtime=float(i))
             for i in range(count)}
 
