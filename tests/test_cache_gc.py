@@ -76,12 +76,16 @@ def test_gc_max_age_never_removes_entries_newer_than_cutoff(tmp_path):
     assert report.removed == [_key(i) for i in range(3)]
     assert _survivors(tmp_path) == {_key(i) for i in range(3, 6)}
 
-    # Against the wall clock (no `now`): an entry written just now stays,
-    # entries written at the epoch go.
-    _write_entry(tmp_path, _key(9), _payload(9))
+
+def test_gc_max_age_uses_the_wall_clock_when_now_is_omitted(tmp_path):
+    # An entry written just now stays; one stamped near the epoch goes.
+    for i in range(2):
+        _write_entry(tmp_path, _key(i), _payload(i))
+    old = tmp_path / _key(0)[:2] / f"{_key(0)}.json"
+    os.utime(old, (1.0, 1.0))
     report = collect_garbage(tmp_path, max_age=1000.0)
-    assert report.removed == [_key(i) for i in range(3, 6)]
-    assert _survivors(tmp_path) == {_key(9)}
+    assert report.removed == [_key(0)]
+    assert _survivors(tmp_path) == {_key(1)}
 
 
 def test_gc_max_bytes_evicts_oldest_written_first(tmp_path, monkeypatch):
