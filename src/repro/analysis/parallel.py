@@ -38,7 +38,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
@@ -259,6 +259,11 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, int(jobs))
 
 
+#: ``SystemConfig``'s field names, read by the first :func:`cell_key` call
+#: rather than at import, which every entry point pays.
+_CONFIG_FIELDS: List[str] = []
+
+
 def cell_key(config: SystemConfig, protocol: str, workload_name: str,
              scale: float, max_cycles: int,
              kind: Union[str, CellKind] = "stats") -> str:
@@ -274,10 +279,13 @@ def cell_key(config: SystemConfig, protocol: str, workload_name: str,
     so every pre-existing cache entry and shard assignment stays valid).
     """
     kind = get_cell_kind(kind)
+    if not _CONFIG_FIELDS:
+        _CONFIG_FIELDS.extend(f.name for f in fields(SystemConfig))
     payload = {
         "cache_schema": CACHE_SCHEMA_VERSION,
         "stats_schema": STATS_SCHEMA_VERSION,
-        "config": asdict(config),
+        # Every SystemConfig field is a scalar, so this equals asdict().
+        "config": {name: getattr(config, name) for name in _CONFIG_FIELDS},
         "protocol": protocol,
         "workload": workload_name,
         "scale": scale,
@@ -392,9 +400,14 @@ class ResultCache:
         return cell_key(config, protocol, workload_name, scale, max_cycles,
                         kind=kind)
 
+    def _entry_path(self, key: str) -> str:
+        """The one spelling of an entry's location,
+        ``<root>/<key[:2]>/<key>.json``, as a string for the reader."""
+        return os.path.join(self.root, key[:2], f"{key}.json")
+
     def path(self, key: str) -> Path:
         """Filesystem location of the entry for ``key``."""
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._entry_path(key))
 
     def get(self, key: str,
             schema: int = STATS_SCHEMA_VERSION) -> Optional[Dict[str, object]]:
@@ -403,31 +416,30 @@ class ResultCache:
         to the stats schema)."""
         if not self.enabled:
             return None
-        path = self.path(key)
-        read_stat = None
+        path = self._entry_path(key)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                # Identity of the bytes being judged; if the verdict is
-                # "corrupt", only this exact file may be removed.
-                read_stat = os.fstat(handle.fileno())
-                payload = json.load(handle)
-            if not isinstance(payload, dict) or payload.get("schema") != schema:
-                raise ValueError("stale payload schema")
-        except FileNotFoundError:
-            return None
-        except (ValueError, OSError):
-            self._discard_corrupt(path, read_stat)
-            return None
-        return payload
+            # read_stat is the identity of the bytes being judged; if the
+            # verdict is "corrupt", only this exact file may be removed.
+            read_stat, payload = _read_json(path)
+        except OSError:
+            return None  # missing or unopenable: nothing read or condemned
+        if isinstance(payload, dict) and payload.get("schema") == schema:
+            return payload
+        self._discard_corrupt(path, read_stat)
+        return None
 
-    def _discard_corrupt(self, path: Path, read_stat) -> None:
+    def peek(self, key: str) -> Optional[Dict[str, object]]:
+        """The payload of ``key``'s entry read like :func:`read_entry`:
+        nothing is removed, and the entry's own kind judges its schema."""
+        return read_entry(self._entry_path(key))
+
+    def _discard_corrupt(self, path: Union[str, Path], read_stat) -> None:
         """Remove a corrupt/stale entry — but only while it is still the
         same file whose bytes were judged corrupt.  A concurrent writer's
         ``put`` may have atomically renamed a fresh, valid entry into
         place after our read; re-stat the path and leave it alone if its
         identity (inode, mtime, size) changed.  ``read_stat`` of ``None``
-        means the open itself failed: nothing was read, nothing is
-        condemned."""
+        (nothing was read) condemns nothing."""
         if read_stat is None:
             return
         try:
@@ -440,7 +452,7 @@ class ResultCache:
                     read_stat.st_mtime_ns, read_stat.st_size)):
             return
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 
@@ -483,19 +495,41 @@ def iter_entry_files(root: Union[str, Path]) -> Iterator[Path]:
     yield from sorted(Path(root).glob("*/*.json"))
 
 
-def read_entry(path: Path) -> Optional[Dict[str, object]]:
+def _read_json(path: Union[str, Path]) -> Tuple[os.stat_result, object]:
+    """Read one entry file: ``os.open``, ``os.fstat``, ``os.read`` to EOF,
+    a strict UTF-8 decode and ``json.loads``.  Returns the fstat of the
+    file read and its JSON, or ``None`` in place of the JSON when the bytes
+    are not UTF-8 JSON (a UTF-8 BOM included) or the read fails.
+
+    Raises:
+        OSError: the file could not be opened (``FileNotFoundError`` when
+            there is no entry).
+    """
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        stat = os.fstat(fd)
+        try:
+            chunks = [os.read(fd, stat.st_size + 1)]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+            return stat, json.loads(b"".join(chunks).decode("utf-8"))
+        except (ValueError, OSError):
+            return stat, None
+    finally:
+        os.close(fd)
+
+
+def read_entry(path: Union[str, Path]) -> Optional[Dict[str, object]]:
     """Read one cache entry file **without mutating anything** — unlike
     :meth:`ResultCache.get` this never unlinks a torn entry, so reports,
     diffs, merges and GC are safe over foreign snapshots.  Returns
     ``None`` for a missing or unreadable file, unreadable JSON or a
     payload that is stale/alien for its own declared kind."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, OSError):
+        payload = _read_json(path)[1]
+    except OSError:
         return None
-    if not payload_is_current(payload):
-        return None
-    return payload
+    return payload if payload_is_current(payload) else None
 
 
 def entry_kind(path: Path) -> str:

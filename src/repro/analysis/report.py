@@ -388,7 +388,7 @@ class SpecReport:
         kind = get_cell_kind(getattr(spec, "cell_kind", "stats"))
         cells: Dict[Tuple[str, str, int, float], object] = {}
         for cell in plan_sweep(spec, shard_count=1).cells:
-            payload = read_entry(cache.path(cell.key))
+            payload = cache.peek(cell.key)
             if payload is None or payload.get("kind", "stats") != kind.name:
                 continue
             cells[(cell.protocol, cell.workload, cell.cores, cell.scale)] = \

@@ -38,7 +38,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.parallel import (CACHE_SCHEMA_VERSION, cell_key,
-                                     iter_entry_files, read_entry)
+                                     get_cell_kind, iter_entry_files,
+                                     read_entry)
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION
 
@@ -161,11 +162,14 @@ def plan_sweep(spec, shard_count: int) -> ShardPlan:
     fully deterministic: the same spec and shard count yield the same
     manifests on every machine.
     """
-    kind = getattr(spec, "cell_kind", "stats")
+    kind = get_cell_kind(getattr(spec, "cell_kind", "stats"))
+    configs: Dict[int, SystemConfig] = {}
     cells = []
     for cores, scale, protocol, workload in spec.cells():
-        key = cell_key(SystemConfig().scaled(num_cores=cores), protocol,
-                       workload, scale, spec.max_cycles, kind=kind)
+        if cores not in configs:
+            configs[cores] = SystemConfig().scaled(num_cores=cores)
+        key = cell_key(configs[cores], protocol, workload, scale,
+                       spec.max_cycles, kind=kind)
         cells.append(PlannedCell(cores=cores, scale=scale, protocol=protocol,
                                  workload=workload, key=key,
                                  shard=shard_of_key(key, shard_count)))
@@ -228,7 +232,7 @@ def merge_results(sources: Iterable[Union[str, Path]], dest) -> MergeReport:
             if payload is None:
                 report.invalid += 1
                 continue
-            if key in settled or read_entry(dest.path(key)) is not None:
+            if key in settled or dest.peek(key) is not None:
                 settled.add(key)
                 report.already_present += 1
                 continue
@@ -252,5 +256,4 @@ def missing_cells(spec, cache) -> List[PlannedCell]:
     stale-schema entries count as missing, exactly as ``ResultCache.get``
     would treat them."""
     plan = plan_sweep(spec, shard_count=1)
-    return [cell for cell in plan.cells
-            if read_entry(cache.path(cell.key)) is None]
+    return [cell for cell in plan.cells if cache.peek(cell.key) is None]

@@ -510,17 +510,25 @@ def _report_spec(args: argparse.Namespace):
     same declared-field pipeline.
 
     Raises:
-        KeyError: the name matches neither registry, or an override names
-            an unregistered protocol.
+        KeyError: the name matches neither registry, an override names
+            an unregistered protocol, or a campaign is given an axis
+            override (it has none).
     """
     if args.name in SWEEPS:
         return _sharded_spec(args)
     try:
-        return get_campaign(args.name)
+        spec = get_campaign(args.name)
     except KeyError:
         raise KeyError(
             f"unknown sweep or campaign {args.name!r}; see "
             f"'repro sweep --list' and 'repro fuzz list'") from None
+    for flag in ("protocols", "workloads", "cores", "scales"):
+        if getattr(args, flag) is not None:
+            raise KeyError(
+                f"--{flag} does not apply to fuzz campaign {spec.name!r}: "
+                f"a campaign has no protocol, workload, core or scale "
+                f"override")
+    return spec
 
 
 def _cmd_report_sweep(args: argparse.Namespace) -> int:
@@ -1141,7 +1149,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_executor_flags(command: argparse.ArgumentParser) -> None:
-        command.add_argument("--jobs", type=int, default=None,
+        command.add_argument("--jobs", type=_positive_int, default=None,
                              help="worker processes (default: REPRO_JOBS or CPU count)")
         command.add_argument("--no-cache", action="store_true",
                              help="ignore and do not update the on-disk result cache")

@@ -29,8 +29,7 @@ from typing import Any, Dict, Optional
 class CacheLine:
     """One cache line (block) and its protocol metadata.
 
-    Slotted: every fill allocates one (the ``custom`` dict remains the
-    free-form per-protocol scratch space).
+    Slotted: every fill allocates one.
 
     Attributes:
         address: line-aligned byte address of the block.
@@ -54,7 +53,6 @@ class CacheLine:
             owner pointer.
         sharers: directory sharer set (MESI) or coarse sharer groups
             (TSO-CC SharedRO), depending on the owning protocol.
-        custom: free-form per-protocol scratch space.
     """
 
     address: int
@@ -67,7 +65,6 @@ class CacheLine:
     last_writer: Optional[int] = None
     owner: Optional[int] = None
     sharers: set = field(default_factory=set)
-    custom: Dict[str, Any] = field(default_factory=dict)
 
     def read_word(self, offset: int) -> int:
         """Return the value stored at ``offset`` (0 if never written)."""
@@ -97,4 +94,3 @@ class CacheLine:
         self.last_writer = None
         self.owner = None
         self.sharers = set()
-        self.custom = {}

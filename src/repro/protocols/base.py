@@ -107,7 +107,9 @@ class PendingTransaction:
         data_message: data response received while acks were still pending.
         deferred: operations on the same line issued while this transaction
             was outstanding; replayed once it completes.
-        meta: protocol-specific scratch data.
+        inv_raced: an invalidation arrived while the transaction was
+            outstanding, so shared data it receives is used once and not
+            kept.
     """
 
     kind: str
@@ -120,7 +122,7 @@ class PendingTransaction:
     acks_expected: int = 0
     data_message: Optional[Message] = None
     deferred: List[Callable[[], None]] = field(default_factory=list)
-    meta: Dict[str, Any] = field(default_factory=dict)
+    inv_raced: bool = False
 
 
 def compile_dispatch(cls: type) -> tuple:
@@ -442,7 +444,7 @@ class BaseL1Controller:
             self.cache.remove(msg.address)
         txn = self._pending.get(msg.address)
         if txn is not None:
-            txn.meta["inv_raced"] = True
+            txn.inv_raced = True
         self.stats.invalidations_received += 1
         self.send(MessageType.INV_ACK, msg.src, address=msg.address,
                   acker=self.core_id)

@@ -85,7 +85,7 @@ class BroadcastL1Controller(MESIL1Controller):
             self.cache.remove(msg.address)
         txn = self._pending.get(msg.address)
         if txn is not None:
-            txn.meta["inv_raced"] = True
+            txn.inv_raced = True
         self.stats.invalidations_received += 1
         self.send(MessageType.DOWNGRADE_ACK, msg.src, address=msg.address,
                   data=data, dirty=dirty, snooper=self.core_id)

@@ -172,7 +172,7 @@ class MESIL1Controller(BaseL1Controller):
             state = self.shared_state if txn.kind == "load" else self.modified_state
         line = self.install_line(msg.address, msg.data or {}, state)
         self.finish_txn_with_line(txn, line)
-        if txn.meta.get("inv_raced") and state is self.shared_state:
+        if txn.inv_raced and state is self.shared_state:
             # An invalidation overtook this (older) shared-data response: the
             # directory no longer tracks us, so the data may be used exactly
             # once but must not stay cached (it could be stale forever).

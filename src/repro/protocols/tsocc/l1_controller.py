@@ -353,8 +353,8 @@ class TSOCCL1Controller(BaseL1Controller):
             self.send(MessageType.L1_ACK, msg.src, address=msg.address,
                       acker=self.core_id)
         self.finish_txn_with_line(txn, line)
-        if txn.meta.get("inv_raced") and state in (TSOCCL1State.SHARED,
-                                                   TSOCCL1State.SHARED_RO):
+        if txn.inv_raced and state in (TSOCCL1State.SHARED,
+                                       TSOCCL1State.SHARED_RO):
             # A (SharedRO) broadcast invalidation overtook this data response:
             # keeping the copy could leave a read-only line stale forever, so
             # use the data once and drop it.

@@ -270,7 +270,6 @@ class TSOCCL2Controller(BaseL2Controller):
                 line.merge_data(msg.data)
             if dirty:
                 line.dirty = True
-                line.custom["modified"] = True
                 line.ts = msg.info.get("ts")
                 line.ts_epoch = msg.info.get("epoch", 0)
                 line.last_writer = owner
@@ -296,7 +295,6 @@ class TSOCCL2Controller(BaseL2Controller):
         if line is not None and txn is not None:
             old_owner = msg.info["old_owner"]
             if msg.info.get("dirty"):
-                line.custom["modified"] = True
                 self._record_writer_timestamp(old_owner, msg.info.get("ts"),
                                               msg.info.get("epoch", 0))
             line.state = TSOCCL2State.EXCLUSIVE
@@ -339,7 +337,6 @@ class TSOCCL2Controller(BaseL2Controller):
         """A dirty Put carries the owner's latest write: record the line's
         timestamp metadata and the writer's last-seen timestamp."""
         owner = msg.info["owner"]
-        line.custom["modified"] = True
         line.ts = msg.info.get("ts")
         line.ts_epoch = msg.info.get("epoch", 0)
         line.last_writer = owner

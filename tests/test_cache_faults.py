@@ -19,7 +19,7 @@ import pytest
 import repro.analysis.parallel as parallel
 from _cachekind import CACHETEST_SCHEMA, simulate_cachetest_cell
 from repro.analysis.parallel import (MatrixExecutor, ResultCache, cell_key,
-                                     collect_garbage)
+                                     collect_garbage, read_entry)
 from repro.sim.config import SystemConfig
 from repro.sim.stats import STATS_SCHEMA_VERSION
 
@@ -44,12 +44,19 @@ def _seed(cache: ResultCache, i: int = 0) -> str:
     "not json at all",
     "[1, 2, 3]",                          # valid JSON, not a payload
     json.dumps({"schema": STATS_SCHEMA_VERSION + 999}),  # stale schema
+    # A valid payload behind a UTF-8 BOM: entries are plain UTF-8.
+    b"\xef\xbb\xbf" + json.dumps(_payload()).encode("utf-8"),
+    b'{"schema": 1, "workload": "\xff\xfe"}',  # not UTF-8
 ])
 def test_corrupt_entry_is_a_miss_and_is_discarded(tmp_path, corrupt):
     cache = ResultCache(tmp_path)
     key = _seed(cache)
     path = cache.path(key)
-    path.write_text(corrupt, encoding="utf-8")
+    if isinstance(corrupt, bytes):
+        path.write_bytes(corrupt)
+    else:
+        path.write_text(corrupt, encoding="utf-8")
+    assert read_entry(path) is None  # the non-mutating read agrees
 
     assert cache.get(key) is None
     assert not path.exists()  # same file that was judged: removed
@@ -68,18 +75,20 @@ def test_corrupt_entry_discard_spares_a_concurrent_writers_replacement(
     path.write_text('{"torn', encoding="utf-8")
     good_blob = json.dumps(_payload(0), sort_keys=True)
 
-    real_load = json.load
+    real_loads = json.loads
 
-    def racing_load(handle):
+    def racing_loads(*args, **kwargs):
         # Simulate the concurrent put: replace the entry underneath the
         # reader after it opened (and fstat'ed) the corrupt file, then let
         # the parse of the old bytes fail as it would have.
         replacement = path.with_suffix(".racer.tmp")
         replacement.write_text(good_blob, encoding="utf-8")
         replacement.replace(path)
-        return real_load(handle)
+        return real_loads(*args, **kwargs)
 
-    monkeypatch.setattr(parallel.json, "load", racing_load)
+    # The parse is json.loads whichever way the entry is read (json.load
+    # calls it too).
+    monkeypatch.setattr(parallel.json, "loads", racing_loads)
     assert cache.get(key) is None  # the read itself still misses
     monkeypatch.undo()
 

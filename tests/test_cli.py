@@ -121,9 +121,11 @@ def test_parser_requires_command():
     (["shard", "plan", "ci-smoke", "--shard-count", "2", "--cores", "0"],
      "--cores"),
     (["sweep", "ci-smoke", "--scales", "-1", "--cells"], "--scales"),
+    (["sweep", "ci-smoke", "--jobs", "0", "--no-cache"], "--jobs"),
+    (["sweep", "ci-smoke", "--jobs", "-4", "--no-cache"], "--jobs"),
 ], ids=["storage", "protocols", "figure", "litmus", "run-scale",
         "run-max-cycles", "report-sweep-cores", "shard-plan-cores",
-        "sweep-scales"])
+        "sweep-scales", "sweep-jobs-zero", "sweep-jobs-negative"])
 def test_parser_rejects_malformed_counts(argv, flag, capsys):
     # A usage error naming the flag, before any work runs: no traceback,
     # no run at a clamped minimum size, and no litmus run that observes

@@ -6,14 +6,17 @@ process-pool fan-out and the content-addressed cache would silently change
 results.  Serial and parallel runs are therefore compared byte-for-byte.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 import repro.analysis.parallel as parallel
 from _helpers import make_tiny_config
 from repro.analysis.parallel import (MatrixExecutor, ResultCache,
-                                     WorkloadValidationError, resolve_jobs)
+                                     WorkloadValidationError, cell_key,
+                                     resolve_jobs)
 from repro.sim.config import SystemConfig
 
 PROTOCOLS = ["MESI", "TSO-CC-4-12-3"]
@@ -65,6 +68,56 @@ def test_config_change_busts_the_key(tmp_path):
     assert cache.key(base, "MESI", "radix", SCALE, 1000) != key
     assert cache.key(base, "MESI", "fft", 0.3, 1000) != key
     assert cache.key(base, "MESI", "fft", SCALE, 2000) != key
+
+
+#: SHA-256 of each registered sweep's and fuzz campaign's cell keys, one
+#: ``<cores> <scale> <protocol> <workload> <key>`` line per cell in
+#: expansion order.  A new key orphans every cache entry and moves every
+#: shard assignment, so re-pin only together with a CACHE_SCHEMA_VERSION
+#: bump (or a deliberate change to a spec's expansion).
+GOLDEN_CELL_KEYS = {
+    "timestamp-bits":
+        "6ecad8307ad2a3f7b10647495dd2611aa57490f3c8c6d6194b6ad8d5b89aa078",
+    "access-counter":
+        "0c02bb89c60fea6fb8b185f3288fc1da82c67e985d50e0fd4aa3e6b8d9e3f296",
+    "decay":
+        "261166664f23afe86296c9fc79f258ff6d4dd6e97487699f508dd15c416884ce",
+    "shared-ro":
+        "f0c715a0ecfd724568ddeec1f0c3acac7ec39f4f9cc272b9c833816e71f06824",
+    "ts-table":
+        "4318a3fe71ad890456f347e525855450fbeccec37e923ce08083f118a0ef4906",
+    "protocol-baselines":
+        "2fc95d021f01866abd074a9c73af560cb342dcef3012965c531fd53855864146",
+    "ci-smoke":
+        "902478f5e2176ea2ab30177a9c88135abbf3bcbcc67752ef8cf60f982947b953",
+    "scenario-smoke":
+        "99a19594f54c8b06a50b434b044275bb3ff0e317499d58bcba7a030f30893813",
+    "fuzz-smoke":
+        "83d272476881084ae22cbdcc049fc748b97d2010828c9cfb985c61e7d36c84d8",
+    "tso-conformance":
+        "0cde47fd0a44f7d80ff506fd0beb9503312caff9dbc00f64cf9b0024b92c072d",
+    "fuzz-wide":
+        "5287096f4e34296fd8434b94db22f48d359c79fa24f3389cb9e2a37237599d5d",
+}
+
+
+def test_golden_cell_keys(monkeypatch):
+    from repro.analysis.sweeps import list_sweeps
+    from repro.consistency.fuzz import list_campaigns
+
+    # scenario-smoke replays a trace committed under benchmarks/traces/.
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    digests = {}
+    for spec in list_sweeps() + list_campaigns():
+        digest = hashlib.sha256()
+        for cores, scale, protocol, workload in spec.cells():
+            key = cell_key(SystemConfig().scaled(num_cores=cores), protocol,
+                           workload, scale, spec.max_cycles,
+                           kind=spec.cell_kind)
+            digest.update(f"{cores} {scale!r} {protocol} {workload} "
+                          f"{key}\n".encode("utf-8"))
+        digests[spec.name] = digest.hexdigest()
+    assert digests == GOLDEN_CELL_KEYS
 
 
 def test_config_change_triggers_resimulation(tmp_path):

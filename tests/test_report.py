@@ -445,6 +445,18 @@ def test_cli_report_sweep_empty_cache(tmp_path, capsys):
     assert "no cached cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--protocols", "NOPE"), ("--workloads", "fft"), ("--cores", "2"),
+    ("--scales", "0.5")])
+def test_cli_report_sweep_refuses_campaign_axis_overrides(tmp_path, capsys,
+                                                          flag, value):
+    # A fuzz campaign has none of these axes: the flag is refused by name
+    # before the cache is read, never silently dropped.
+    assert main(["report", "sweep", "fuzz-smoke", flag, value,
+                 "--cache-dir", str(tmp_path)]) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_cli_report_sweep_unknown_name(capsys):
     assert main(["report", "sweep", "not-a-thing"]) == 2
     assert "unknown sweep or campaign" in capsys.readouterr().err

