@@ -4,10 +4,11 @@ campaign slice through the cached matrix.
 Two measurements back the fuzz subsystem's design claims (see the
 "Fuzzing TSO conformance" guide in EXPERIMENTS.md):
 
-* the memoized register-free DP in ``enumerate_tso_outcomes`` beats the
-  naive exhaustive walk on exactly the test shapes campaigns generate
-  (the enumeration is every cell's fixed cost, paid once per test thanks
-  to the cross-call memo), and
+* the reduced suffix DP in ``enumerate_tso_outcomes`` (packed register
+  assignments, eager independent steps, branching only on flushes of live
+  variables and loads of contended ones) beats the naive exhaustive walk
+  on campaign-shaped tests (the enumeration is every cell's fixed cost,
+  paid once per test thanks to the cross-call memo), and
 * a campaign slice runs end-to-end through the cached ``MatrixExecutor``
   with the usual warm-cache contract: a second run simulates nothing.
 """
@@ -46,8 +47,8 @@ def test_tso_enumerator_dp(benchmark, results_dir):
 
 
 def test_tso_enumerator_exhaustive_reference(benchmark, results_dir):
-    """The pre-DP walk, kept as the differential oracle — benchmarked so
-    the speedup stays visible in ``benchmarks/results/``."""
+    """The exhaustive walk, kept as the differential oracle — benchmarked
+    so the speedup stays visible in ``benchmarks/results/``."""
     outcomes = benchmark.pedantic(
         _enumerate_with, args=(enumerate_tso_outcomes_exhaustive,), rounds=1,
         iterations=1)

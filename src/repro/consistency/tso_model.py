@@ -17,27 +17,61 @@ the SB test has a TSO-only outcome).
 
 Enumeration is the hot path of a fuzz campaign
 (:mod:`repro.consistency.fuzz` enumerates one allowed-set per generated
-test), so :func:`enumerate_tso_outcomes` uses an exact state-space
-reduction instead of the naive walk:
+test), so :func:`enumerate_tso_outcomes` does not walk every interleaving.
+It runs an exact suffix DP with partial-order reduction (Godefroid,
+*Partial-Order Methods for the Verification of Concurrent Systems*, 1996):
 
-* **Register-free exploration** — register contents never influence which
-  transitions are enabled, so the DP explores ``(pcs, buffers, memory)``
-  states only and attaches register assignments on the way back up
-  (memoized per state).  The naive walk re-visits the same machine state
-  once per distinct register history; the DP visits it once.
-* **Dead-variable pruning** — a variable no thread can still load (and
-  that is not reported in the outcome) is dropped from the memory
-  component of the state key, merging states that differ only in
-  unobservable values.
-* **Cross-call memoization** — campaigns check the same test against many
-  protocols; results are cached per canonical test structure
+* **Suffix sets.**  Register contents never decide which transitions are
+  enabled, so the DP explores ``(pcs, buffers, memory)`` states only and
+  memoizes, per state, the set of register assignments (and final
+  memories) its runs can end with.  When final memory is not reported, a
+  variable no thread can still load is left out of the memory part of
+  the state key, which merges states that differ only in unobservable
+  values.
+* **Packed encoding.**  Each variable's values are numbered, 0 first.
+  Memory gives every variable a bit field wide enough for its numbers,
+  and every load gets one too.  A register assignment (with the final
+  memory, when reported) is then one int, and a suffix set a frozenset of
+  ints: prepending a load's value is one OR, and outcomes are decoded
+  into ``(name, value)`` tuples once, at the end.
+* **Eager steps.**  A step that commutes with every other transition and
+  stays enabled until it is taken runs at once instead of branching.
+  Every complete run takes it at some point, and moving it to the front
+  leaves the outcome unchanged.  Four steps qualify:
+
+  1. *A thread's next store.*  It only appends to its own buffer.  No
+     other transition reads that buffer's tail: flushes take the head,
+     and the thread's own later ops wait for the store anyway.
+  2. *A fence on an empty buffer.*  It is a no-op, and only its own
+     thread could refill the buffer, which it cannot do before the fence.
+  3. *A load of a variable no other thread has buffered or will still
+     store.*  Its value is fixed.  Only its own thread's flushes can still
+     change that variable, and they do not change what the load reads: it
+     forwards the youngest own buffered store to the variable, and memory
+     holds that same value once the store is flushed.  With no such store
+     buffered, nobody writes the variable before the load.
+  4. *When final memory is not reported: the flush of a buffered store to
+     a variable no thread will load again.*  The value it writes is never
+     read or reported.  The flush only has to leave the buffer before its
+     own thread's later entries and fences, which wait for it anyway.
+
+  Only flushes of live variables and loads of contended variables still
+  branch.
+* **The trap.**  A load that forwards from its own buffer is *not*
+  independent when another thread writes its variable.  Its own flush of
+  the forwarded store may come first, and another thread's store to the
+  variable may reach memory after it; the load then reads that store.
+  Treating such a load as eager loses outcomes (fuzz-smoke's seed-2 test,
+  2 threads x 5 ops over 2 variables, keeps only 4 of its 10).
+* **Cross-call memoization.**  Campaigns check the same test against many
+  protocols, so results are cached per canonical test structure
   (:func:`clear_outcome_cache` empties the cache).
 
-The reduction requires every load to target a distinct register (true for
-the canonical corpus and everything :func:`~repro.consistency.litmus.generate_random_test`
-emits); tests with aliased registers fall back to the exhaustive walk,
-which is also kept as the differential oracle for the DP itself
-(``tests/test_consistency.py``).
+The DP requires every load to target a distinct register (true for the
+canonical corpus and everything
+:func:`~repro.consistency.litmus.generate_random_test` emits).  Tests with
+aliased registers fall back to the exhaustive walk, which is also kept as
+the differential oracle for the DP (``tests/test_consistency.py``).
 """
 
 from __future__ import annotations
@@ -84,8 +118,8 @@ def _make_outcome(registers: Dict[str, int], memory: Dict[str, int],
 def enumerate_tso_outcomes(test: LitmusTest, include_memory: bool = False) -> Set[Outcome]:
     """Enumerate every final state reachable under x86-TSO.
 
-    Uses the memoized register-free DP (see module docstring) when every
-    load targets a distinct register, else the exhaustive walk; results are
+    Uses the reduced suffix DP (see module docstring) when every load
+    targets a distinct register, else the exhaustive walk; results are
     cached across calls per canonical test structure.
 
     Args:
@@ -103,7 +137,7 @@ def enumerate_tso_outcomes(test: LitmusTest, include_memory: bool = False) -> Se
         return set(cached)
     registers = test.registers
     if len(registers) == len(set(registers)):
-        outcomes = _enumerate_tso_dp(test, include_memory)
+        outcomes = _enumerate_tso_reduced(test, include_memory)
     else:
         outcomes = enumerate_tso_outcomes_exhaustive(test, include_memory)
     if len(_OUTCOME_CACHE) >= _OUTCOME_CACHE_LIMIT:
@@ -112,121 +146,197 @@ def enumerate_tso_outcomes(test: LitmusTest, include_memory: bool = False) -> Se
     return outcomes
 
 
-def _enumerate_tso_dp(test: LitmusTest, include_memory: bool) -> Set[Outcome]:
-    """Register-free suffix DP: for each reachable ``(pcs, buffers, memory)``
-    machine state, memoize the set of (suffix register assignments, final
-    memory) pairs reachable from it.  Exact for tests whose loads target
+def _enumerate_tso_reduced(test: LitmusTest,
+                           include_memory: bool) -> Set[Outcome]:
+    """The reduced suffix DP of the module docstring: packed suffix sets,
+    eager independent steps, branching only on flushes of live variables
+    and loads of contended ones.  Exact for tests whose loads target
     distinct registers (callers check)."""
     threads = [thread.ops for thread in test.threads]
     num_threads = len(threads)
 
-    # future_loads[t][pc]: variables thread t may still load at op index
-    # >= pc — the union over threads drives dead-variable pruning.
-    future_loads: List[List[FrozenSet[str]]] = []
+    # Each variable's values, numbered with 0 first: a field holds a
+    # number, and the all-zero int is the initial memory.  Final memory
+    # reports the declared variables and every stored one.
+    alphabets: Dict[str, List[int]] = {var: [0] for var in test.variables}
+    reported = set(alphabets)
     for ops in threads:
-        suffixes: List[FrozenSet[str]] = [frozenset()] * (len(ops) + 1)
-        live: FrozenSet[str] = frozenset()
-        for index in range(len(ops) - 1, -1, -1):
-            op = ops[index]
-            if op.kind == "load" and op.var is not None:
-                live = live | {op.var}
-            suffixes[index] = live
-        future_loads.append(suffixes)
+        for op in ops:
+            if op.var is not None:
+                alphabet = alphabets.setdefault(op.var, [0])
+                if op.kind == "store":
+                    reported.add(op.var)
+                    if op.value not in alphabet:
+                        alphabet.append(op.value)
+    index = {var: v for v, var in enumerate(alphabets)}
 
-    def live_vars(pcs: Tuple[int, ...]) -> FrozenSet[str]:
-        live: FrozenSet[str] = frozenset()
-        for t in range(num_threads):
-            live = live | future_loads[t][pcs[t]]
-        return live
+    # One bit field per variable (memory), then one per load (registers).
+    field_shift: List[int] = []
+    field_mask: List[int] = []
+    width = 0
+    for alphabet in alphabets.values():
+        bits = (len(alphabet) - 1).bit_length()
+        field_shift.append(width)
+        field_mask.append((1 << bits) - 1)
+        width += bits
+    decoders: List[Tuple[str, int, int, List[int]]] = [
+        (f"[{var}]", field_shift[v], field_mask[v], alphabets[var])
+        for var, v in index.items() if include_memory and var in reported]
 
-    #: (pcs, buffers, canonical memory) -> frozenset of
-    #: (suffix register items, final memory items) pairs.
-    memo: Dict[Tuple[object, ...], FrozenSet[Tuple[Outcome, Outcome]]] = {}
-
-    def canonical_memory(memory: Dict[str, int],
-                         pcs: Tuple[int, ...]) -> Outcome:
-        """The memory component of the state key.  When final memory is not
-        reported, values no thread can still load are unobservable and are
-        dropped, merging equivalent states."""
-        if include_memory:
-            return tuple(sorted(memory.items()))
-        live = live_vars(pcs)
-        return tuple(sorted((var, value) for var, value in memory.items()
-                            if var in live))
-
-    def explore(pcs: Tuple[int, ...],
-                buffers: Tuple[Tuple[Tuple[str, int], ...], ...],
-                memory: Dict[str, int],
-                ) -> FrozenSet[Tuple[Outcome, Outcome]]:
-        state = (pcs, buffers, canonical_memory(memory, pcs))
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-
-        done = all(pcs[t] >= len(threads[t]) for t in range(num_threads))
-        if done and all(not buffer for buffer in buffers):
-            final_memory: Outcome = (
-                tuple(sorted(memory.items())) if include_memory else ())
-            result = frozenset({((), final_memory)})
-            memo[state] = result
-            return result
-
-        suffixes: Set[Tuple[Outcome, Outcome]] = set()
-
-        # Transition 1: flush the oldest entry of any non-empty buffer.
-        for t in range(num_threads):
-            if buffers[t]:
-                var, value = buffers[t][0]
-                new_memory = dict(memory)
-                new_memory[var] = value
-                new_buffers = buffers[:t] + (buffers[t][1:],) + buffers[t + 1:]
-                suffixes |= explore(pcs, new_buffers, new_memory)
-
-        # Transition 2: execute the next instruction of any thread.
-        for t in range(num_threads):
-            if pcs[t] >= len(threads[t]):
-                continue
-            op = threads[t][pcs[t]]
-            new_pcs = pcs[:t] + (pcs[t] + 1,) + pcs[t + 1:]
+    # Per thread: compiled ops ``(kind, variable, store entry or load
+    # shift)`` and, per pc, the variables still to be stored and loaded
+    # (bit masks) and the memory fields of the latter.
+    program: List[List[Tuple[str, int, object]]] = []
+    future_stores: List[List[int]] = []
+    future_loads: List[List[int]] = []
+    future_fields: List[List[int]] = []
+    for ops in threads:
+        compiled: List[Tuple[str, int, object]] = []
+        for op in ops:
             if op.kind == "store":
-                new_buffers = (buffers[:t]
-                               + (buffers[t] + ((op.var, op.value),),)
-                               + buffers[t + 1:])
-                suffixes |= explore(new_pcs, new_buffers, memory)
+                v = index[op.var]
+                compiled.append(("store", v,
+                                 (v, alphabets[op.var].index(op.value))))
             elif op.kind == "load":
-                value = None
-                for var, buffered in reversed(buffers[t]):
-                    if var == op.var:
-                        value = buffered
-                        break
-                if value is None:
-                    value = memory.get(op.var, 0)
-                assignment = (op.register, value)
-                for regs, final_memory in explore(new_pcs, buffers, memory):
-                    # Registers are distinct, so the suffix never rebinds
-                    # this one; prepending keeps the sorted invariant cheap.
-                    suffixes.add((tuple(sorted(regs + (assignment,))),
-                                  final_memory))
+                v = index[op.var]
+                compiled.append(("load", v, width))
+                decoders.append((op.register, width, field_mask[v],
+                                 alphabets[op.var]))
+                width += field_mask[v].bit_length()
             elif op.kind == "fence":
-                if not buffers[t]:
-                    suffixes |= explore(new_pcs, buffers, memory)
-                # A fence with a non-empty buffer must wait; the flush
-                # transition above provides the progress.
+                compiled.append(("fence", 0, None))
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown litmus op kind {op.kind!r}")
+        stores = [0] * (len(ops) + 1)
+        loads = [0] * (len(ops) + 1)
+        fields = [0] * (len(ops) + 1)
+        for pc in range(len(ops) - 1, -1, -1):
+            kind, v, _ = compiled[pc]
+            stores[pc] = stores[pc + 1] | (1 << v if kind == "store" else 0)
+            loads[pc] = loads[pc + 1] | (1 << v if kind == "load" else 0)
+            fields[pc] = fields[pc + 1] | (
+                field_mask[v] << field_shift[v] if kind == "load" else 0)
+        program.append(compiled)
+        future_stores.append(stores)
+        future_loads.append(loads)
+        future_fields.append(fields)
+    decoders.sort(key=lambda decoder: decoder[0])
+    thread_range = range(num_threads)
 
-        result = frozenset(suffixes)
-        memo[state] = result
-        return result
+    def read(buffer: Tuple[Tuple[int, int], ...], memory: int,
+             v: int) -> int:
+        """The code a load of variable ``v`` reads: the youngest own
+        buffered store to it, else memory."""
+        for entry in reversed(buffer):
+            if entry[0] == v:
+                return entry[1]
+        return (memory >> field_shift[v]) & field_mask[v]
 
-    initial_memory = {var: 0 for var in test.variables}
-    pairs = explore((0,) * num_threads, ((),) * num_threads, initial_memory)
-    outcomes: Set[Outcome] = set()
-    for regs, final_memory in pairs:
-        items = dict(regs)
-        items.update({f"[{var}]": value for var, value in final_memory})
-        outcomes.add(tuple(sorted(items.items())))
-    return outcomes
+    def flush(memory: int, entry: Tuple[int, int]) -> int:
+        """``memory`` with a buffered store written to it."""
+        v, code = entry
+        return ((memory & ~(field_mask[v] << field_shift[v]))
+                | (code << field_shift[v]))
+
+    memo: Dict[Tuple[object, ...], FrozenSet[int]] = {}
+
+    def explore(pcs: List[int], buffers: List[Tuple[Tuple[int, int], ...]],
+                memory: int) -> Tuple[int, FrozenSet[int]]:
+        """``(prefix, suffixes)``: the packed values the eager steps load
+        from this state, and the memoized suffix set of the branching
+        state they reach.  Updates ``pcs`` and ``buffers`` in place."""
+        prefix = 0
+        progress = True
+        while progress:
+            progress = False
+            for t in thread_range:
+                ops = program[t]
+                pc = start = pcs[t]
+                buffer = buffers[t]
+                contended = -1
+                while pc < len(ops):
+                    kind, v, arg = ops[pc]
+                    if kind == "store":  # eager step 1
+                        buffer += (arg,)
+                    elif kind == "fence":  # eager step 2
+                        if buffer:
+                            break
+                    else:  # eager step 3
+                        if contended < 0:
+                            # Variables another thread has buffered or
+                            # will still store (unchanged while only t
+                            # moves).
+                            contended = 0
+                            for u in thread_range:
+                                if u != t:
+                                    contended |= future_stores[u][pcs[u]]
+                                    for entry in buffers[u]:
+                                        contended |= 1 << entry[0]
+                        if (contended >> v) & 1:
+                            break
+                        prefix |= read(buffer, memory, v) << arg
+                    pc += 1
+                if pc != start:
+                    pcs[t] = pc
+                    buffers[t] = buffer
+                    progress = True
+            if not include_memory:  # eager step 4
+                live = 0
+                for t in thread_range:
+                    live |= future_loads[t][pcs[t]]
+                for t in thread_range:
+                    buffer = buffers[t]
+                    while buffer and not (live >> buffer[0][0]) & 1:
+                        memory = flush(memory, buffer[0])
+                        buffer = buffer[1:]
+                        progress = True
+                    buffers[t] = buffer
+
+        if include_memory:
+            key = (memory, *pcs, *buffers)
+        else:
+            live = 0
+            for t in thread_range:
+                live |= future_fields[t][pcs[t]]
+            key = (memory & live, *pcs, *buffers)
+        suffixes = memo.get(key)
+        if suffixes is not None:
+            return prefix, suffixes
+
+        # Branch: every buffer's head is live (or memory is reported), and
+        # every thread is done, waits at a fence, or loads a contended
+        # variable.
+        found: Set[int] = set()
+        done = True
+        for t in thread_range:
+            buffer = buffers[t]
+            if buffer:
+                done = False
+                branch = list(buffers)
+                branch[t] = buffer[1:]
+                head, rest = explore(list(pcs), branch,
+                                     flush(memory, buffer[0]))
+                found.update(map(head.__or__, rest) if head else rest)
+            pc = pcs[t]
+            if pc < len(program[t]):
+                done = False
+                kind, v, shift = program[t][pc]
+                if kind == "load":
+                    value = read(buffer, memory, v) << shift
+                    advanced = list(pcs)
+                    advanced[t] = pc + 1
+                    head, rest = explore(advanced, list(buffers), memory)
+                    found.update(map((value | head).__or__, rest))
+        if done:
+            found.add(memory if include_memory else 0)
+        suffixes = frozenset(found)
+        memo[key] = suffixes
+        return prefix, suffixes
+
+    prefix, suffixes = explore([0] * num_threads, [()] * num_threads, 0)
+    return {tuple((name, alphabet[((prefix | packed) >> shift) & mask])
+                  for name, shift, mask, alphabet in decoders)
+            for packed in suffixes}
 
 
 def enumerate_tso_outcomes_exhaustive(

@@ -110,10 +110,6 @@ class WriteBuffer:
                 return entry.value
         return None
 
-    def pending_addresses(self) -> list[int]:
-        """Return the addresses of all pending stores, oldest first."""
-        return [entry.address for entry in self.entries]
-
     def clear(self) -> None:
         """Drop all pending stores (used only by tests)."""
         self.entries.clear()

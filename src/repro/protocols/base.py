@@ -102,9 +102,6 @@ class PendingTransaction:
         modify: RMW modify function (RMWs only).
         callback: completion callback supplied by the core model.
         start_time: issue time, used for latency statistics.
-        acks_expected: invalidation acknowledgements still outstanding
-            (protocols that collect acks at the requester).
-        data_message: data response received while acks were still pending.
         deferred: operations on the same line issued while this transaction
             was outstanding; replayed once it completes.
         inv_raced: an invalidation arrived while the transaction was
@@ -119,8 +116,6 @@ class PendingTransaction:
     modify: Optional[Callable[[int], int]] = None
     callback: Optional[Callable] = None
     start_time: int = 0
-    acks_expected: int = 0
-    data_message: Optional[Message] = None
     deferred: List[Callable[[], None]] = field(default_factory=list)
     inv_raced: bool = False
 
@@ -289,11 +284,13 @@ class BaseL1Controller:
             self.sim.schedule(0, retry)
 
     def describe_pending(self) -> str:
-        """The outstanding transactions (line address, kind and issue
-        cycle), for deadlock reports."""
+        """The outstanding transactions (kind, line address, issue cycle
+        and the home L2 tile the request went to), for deadlock reports."""
         return ", ".join(
             f"pending {txn.kind} of line {txn.line_address:#x} issued at "
-            f"cycle {txn.start_time}" for txn in self._pending.values()
+            f"cycle {txn.start_time}, awaiting L2 tile "
+            f"{self.address_map.home_tile(txn.line_address)}"
+            for txn in self._pending.values()
         ) or "no pending L1 transaction"
 
     def response_txn(self, msg: Message) -> PendingTransaction:

@@ -51,10 +51,6 @@ class StorageModel:
         """MESI coherence storage in bits at ``num_cores`` cores."""
         return self.bits("MESI", num_cores)
 
-    def tsocc_bits(self, num_cores: int, config) -> int:
-        """TSO-CC coherence storage in bits at ``num_cores`` cores."""
-        return self.bits(config, num_cores)
-
     def overhead_mbytes(self, num_cores: int, protocol=None) -> float:
         """Coherence storage in megabytes (``None`` selects MESI)."""
         bits = self.bits("MESI" if protocol is None else protocol, num_cores)

@@ -79,13 +79,6 @@ class TSOCCConfig:
         return 1 << self.write_group_bits
 
     @property
-    def max_timestamp(self) -> Optional[int]:
-        """Largest representable timestamp value (``None`` if unbounded)."""
-        if self.ts_bits is None:
-            return None
-        return (1 << self.ts_bits) - 1
-
-    @property
     def decay_timestamp_delta(self) -> Optional[int]:
         """Decay threshold expressed in timestamp units (write-group aware)."""
         if self.decay_writes is None:

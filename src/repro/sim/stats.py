@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.interconnect.network import NetworkStats
 
@@ -377,13 +377,6 @@ class SystemStats:
         """Return the sum of all per-tile L2 statistics."""
         total = L2Stats()
         for stats in self.l2:
-            total.merge(stats)
-        return total
-
-    def aggregate_cores(self) -> CoreStats:
-        """Return the sum (max finish time) of all per-core statistics."""
-        total = CoreStats()
-        for stats in self.cores:
             total.merge(stats)
         return total
 

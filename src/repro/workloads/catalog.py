@@ -19,9 +19,7 @@ reaching this resolver.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.workloads.benchmarks import benchmark_names, make_benchmark
+from repro.workloads.benchmarks import make_benchmark
 from repro.workloads.generators import (canonical_generator_name,
                                         is_generator_name, make_generator)
 from repro.workloads.trace import Workload
@@ -60,9 +58,3 @@ def make_workload(name: str, num_cores: int = 8, scale: float = 1.0) -> Workload
     if is_generator_name(name):
         return make_generator(name, num_cores=num_cores, scale=scale)
     return make_benchmark(name, num_cores=num_cores, scale=scale)
-
-
-def workload_name_help() -> List[str]:
-    """Accepted name forms, for CLI help and error messages."""
-    return (benchmark_names()
-            + ["zipf:…", "pipeline:…", "lockstorm:…", "trace:<stem>"])

@@ -163,15 +163,3 @@ def seqlock_read(seq_address: int, read_body, backoff: int = DEFAULT_BACKOFF) ->
         attempts += 1
         if attempts > MAX_SPINS:
             raise SpinTimeout("seqlock_read starved")
-
-
-def seqlock_write_begin(seq_address: int) -> Generator:
-    """Writer side: bump the sequence to odd (callers hold an external lock)."""
-    seq = yield Load(seq_address)
-    yield Store(seq_address, seq + 1)
-    return seq + 1
-
-
-def seqlock_write_end(seq_address: int, odd_seq: int) -> Generator:
-    """Writer side: publish by bumping the sequence back to even."""
-    yield Store(seq_address, odd_seq + 1)

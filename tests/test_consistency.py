@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency.checkers import HistoryRecorder, Observation, check_coherence_per_location
+from repro.consistency.fuzz import generate_cell_test, get_campaign, list_campaigns
 from repro.consistency.litmus import (LitmusTest, LitmusThread,
                                       canonical_tests, generate_random_test,
                                       load, store)
@@ -106,6 +107,30 @@ def test_dp_enumerator_matches_exhaustive_on_random_tests(seed):
         enumerate_tso_outcomes_exhaustive(test)
     assert enumerate_tso_outcomes(test, include_memory=True) == \
         enumerate_tso_outcomes_exhaustive(test, include_memory=True)
+
+
+def test_tso_oracle_matches_exhaustive_on_campaign_shapes():
+    """The reduced DP's eager steps are exact on every test shape a
+    registered campaign generates: the first two seeds of each shape point,
+    plus forty seeds of fuzz-smoke's 2 threads x 5 ops shape, where a load
+    that forwards from its own buffer must still branch."""
+    cells = set()
+    for campaign in list_campaigns():
+        for shape in campaign.shapes():
+            cells.update((seed,) + shape for seed in campaign.seeds[:2])
+    smoke = get_campaign("fuzz-smoke")
+    (smoke_shape,) = smoke.shapes()
+    cells.update((seed,) + smoke_shape
+                 for seed in smoke.subset(num_seeds=40).seeds)
+    clear_outcome_cache()
+    for seed, threads, ops, variables, fence in sorted(cells):
+        test = generate_cell_test({
+            "seed": seed, "num_threads": threads, "ops_per_thread": ops,
+            "num_vars": variables, "fence_permille": fence})
+        for include_memory in (False, True):
+            assert enumerate_tso_outcomes(test, include_memory) == \
+                enumerate_tso_outcomes_exhaustive(test, include_memory), \
+                (seed, threads, ops, variables, fence, include_memory)
 
 
 def test_enumerator_memoizes_across_calls():

@@ -4,7 +4,8 @@ for, not just the core ids.
 The negative control is a test-only MESI whose L2 drops every ``GETS``
 (following the pattern of ``tests/_mutant.py``, but never registered): a
 load miss then waits forever, the event queue drains, and the
-``DeadlockError`` must name the core, the ``load`` and its line.
+``DeadlockError`` must name the core, the ``load``, its line and the L2
+tile it waits on.
 """
 
 import pytest
@@ -48,8 +49,11 @@ def test_deadlock_error_names_core_load_and_line():
     message = str(caught.value)
     assert "unfinished cores [0]" in message
     # The stuck core's line names its pending transaction: kind, line
-    # address (not the word address) and issue cycle, plus its write buffer.
+    # address (not the word address), issue cycle and the home L2 tile the
+    # request went to (lines interleave across the 2 tiles: 0x1040 is line
+    # 0x41, so tile 1), plus its write buffer.
     stuck = next(line for line in message.splitlines() if "core 0:" in line)
-    assert "pending load of line 0x1040 issued at cycle 0" in stuck
+    assert ("pending load of line 0x1040 issued at cycle 0, awaiting L2 "
+            "tile 1") in stuck
     assert "write buffer depth 0, no store in flight" in stuck
     assert "core 1:" not in message  # the writer finished
