@@ -11,8 +11,9 @@ Run with::
 
     python examples/fuzz_campaign.py [--jobs N]
 
-See the "Fuzzing TSO conformance" guide in EXPERIMENTS.md and the
-``repro fuzz`` CLI for the full surface (sharding, replay, shrinking).
+See the "Fuzzing TSO conformance" guide in EXPERIMENTS.md for the CLI
+surface: ``repro sweep`` and ``repro shard`` run and shard a registered
+campaign, ``repro fuzz replay/shrink`` debug one cell.
 """
 
 import argparse

@@ -3,7 +3,7 @@
 The paper's evaluation is a full workload x protocol-configuration matrix
 whose cells are completely independent simulations, i.e. embarrassingly
 parallel.  This module is the one code path that executes matrix cells,
-for ``repro run``/``figure``/``sweep``/``shard run``/``fuzz run``,
+for ``repro run``/``figure``/``sweep``/``shard run``,
 ``benchmarks/`` and the examples:
 
 * :func:`simulate_cell` — runs ONE (workload, protocol) cell from picklable

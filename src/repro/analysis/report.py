@@ -20,8 +20,8 @@ Three public surfaces (all behind the ``repro report`` CLI family):
   with ``<field>_speedup`` columns vs the spec's baseline variant, geomean
   rows, per-axis figure pivots and the paper's Figures 3–9
   (:data:`FIGURES`).  ``repro figure``, ``repro sweep``, ``repro shard
-  run``, ``repro fuzz run``, ``repro report`` and ``benchmarks/`` all
-  render through it, so cache-side reports reproduce live tables exactly.
+  run``, ``repro report`` and ``benchmarks/`` all render through it, so
+  cache-side reports reproduce live tables exactly.
 * :func:`gather_cells` — filter every cached cell (any kind) into a
   :class:`ReportTable` for ad-hoc cross-run analysis.
 * :func:`diff_snapshots` — classify two cache trees cell-by-cell into

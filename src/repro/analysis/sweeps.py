@@ -97,7 +97,7 @@ class SweepSpec(MatrixSpec):
 
     Attributes:
         name: registry key (``repro sweep <name>``).
-        description: one-line summary shown by ``repro sweep --list``.
+        description: one-line summary shown by ``repro list sweeps``.
         protocols: named protocol configurations forming the swept axis —
             typically a variant group
             (:func:`repro.protocols.registry.variant_group`).

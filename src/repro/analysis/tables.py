@@ -1,5 +1,5 @@
 """Plain-text table rendering for the benchmark harness and examples, plus
-row builders over the protocol plugin API (``repro protocols``)."""
+row builders over the protocol plugin API (``repro list protocols``)."""
 
 from __future__ import annotations
 
@@ -70,7 +70,8 @@ def format_series_table(
 def protocol_rows(protocols=None, system_config=None) -> List[Dict[str, object]]:
     """One row per registered protocol plugin: name, family kind, metadata
     flags, config summary and storage overhead on ``system_config`` (the
-    full Table 2 platform by default).  Consumed by ``repro protocols``."""
+    full Table 2 platform by default).  Consumed by ``repro list
+    protocols``."""
     from repro.protocols.registry import registered_protocols
     from repro.sim.config import SystemConfig
 

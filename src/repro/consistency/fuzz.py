@@ -16,7 +16,8 @@ cell:
   parallel, shardable :class:`~repro.analysis.parallel.MatrixExecutor`
   exactly like a paper-figure cell: campaigns cache by content-addressed
   key, parallelize locally, and shard across machines/CI with no
-  coordinator (``repro fuzz run --shard-index I --shard-count N``).
+  coordinator (``repro shard run <campaign> --shard-index I
+  --shard-count N``).
 * :func:`simulate_fuzz_cell` is the campaign's
   :class:`~repro.analysis.parallel.CellKind` work function: regenerate the
   test from the encoded name, enumerate its TSO-allowed outcomes
@@ -67,6 +68,16 @@ FUZZ_SCHEMA_VERSION = 1
 #: at 4 x 4 over one.  At 8 x 2 (5 seeds) it took 4.4 s over two
 #: variables, and over one it ran out of a 1.5 GB memory cap.
 MAX_TOTAL_OPS = 16
+
+#: Largest thread count a campaign may ask for, since a shape within
+#: :data:`MAX_TOTAL_OPS` can still be intractable with more threads.  The
+#: worst 16-op shape with at most 4 threads took 12 s (4 x 4 over one
+#: variable, above).  Over one variable, 5 threads x 3 ops did not finish
+#: 10 tests in 60 s under a 1.5 GB address-space cap (``ulimit -v
+#: 1500000``; under 1 GB its first test ran out of memory), while 6 x 2
+#: took at most about 1 s per test (0.95 s and 1.00 s in two runs of 10).
+#: The registered campaigns use at most 3 threads.
+MAX_THREADS = 4
 
 
 # --------------------------------------------------------------------- naming
@@ -264,8 +275,8 @@ class FuzzCampaign(MatrixSpec):
     :func:`failing_cells` lists them.
 
     Attributes:
-        name: registry key (``repro fuzz run <name>``).
-        description: one-line summary shown by ``repro fuzz list``.
+        name: registry key (``repro sweep <name>``).
+        description: one-line summary shown by ``repro list campaigns``.
         protocols: protocol configuration names checked differentially —
             every one must pass every cell.
         num_seeds: seeds per shape point (``seed_start ..
@@ -332,6 +343,11 @@ class FuzzCampaign(MatrixSpec):
                 f"{max(self.ops_per_thread)} ops = {worst} total ops; the "
                 f"TSO reference enumeration is intractable beyond "
                 f"{MAX_TOTAL_OPS}")
+        if max(self.num_threads) > MAX_THREADS:
+            raise ValueError(
+                f"campaign {self.name!r}: {max(self.num_threads)} threads; "
+                f"the TSO reference enumeration is intractable beyond "
+                f"{MAX_THREADS} threads")
 
     # ------------------------------------------------------------------ axes
 
@@ -607,9 +623,9 @@ CONFORMANCE_PROTOCOLS = (
 )
 
 #: Small cross-protocol campaign sized for the sharded CI matrix: 96 cells
-#: (24 seeds x 4 protocols), split across the shard jobs by ``repro fuzz
-#: run --shard-index`` and reassembled by the merge job exactly like the
-#: ``ci-smoke`` sweep.
+#: (24 seeds x 4 protocols), split across the shard jobs by ``repro shard
+#: run`` and reassembled by the merge job exactly like the ``ci-smoke``
+#: sweep.
 FUZZ_SMOKE_CAMPAIGN = register_campaign(FuzzCampaign(
     name="fuzz-smoke",
     description="small differential campaign for sharded CI smoke jobs",

@@ -11,7 +11,7 @@ names (:mod:`repro.workloads.generators`) or saved traces
 (``trace:<stem>``; see :mod:`repro.workloads.tracefile`).
 
 Suites carry a version so a changed set is visible in reports and reviews
-(``repro suites`` lists them); changing a suite's membership should bump it.
+(``repro list suites`` lists them); changing a suite's membership should bump it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Suite:
     Attributes:
         name: registry key (``suite:<name>`` in workload axes).
         version: bumped whenever the membership changes.
-        description: one-line summary shown by ``repro suites``.
+        description: one-line summary shown by ``repro list suites``.
         workloads: member workload names, in report order.
     """
 

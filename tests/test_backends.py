@@ -503,8 +503,10 @@ def test_cli_run_reports_malformed_repro_shard(monkeypatch, capsys):
 
 
 def test_cli_shard_plan_rejects_nonpositive_count(capsys):
-    assert main(["shard", "plan", "ci-smoke", "--shard-count", "0"]) == 2
-    assert ">= 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["shard", "plan", "ci-smoke", "--shard-count", "0"])
+    assert excinfo.value.code == 2  # argparse's usage error
+    assert "argument --shard-count: invalid" in capsys.readouterr().err
 
 
 def test_cli_sweep_rejects_malformed_axis_overrides(capsys):

@@ -45,9 +45,10 @@ def _referenced_docs():
             yield path, match.group(1)
 
 
-#: Documents whose command lines must parse (plus the ``repro.cli`` module
-#: docstring).
+#: Documents whose command lines must parse, besides every Python source
+#: under :data:`_CLI_SOURCE_DIRS` (docstrings, comments, messages).
 _CLI_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+_CLI_SOURCE_DIRS = ("src", "examples", "benchmarks")
 
 #: ``python -m repro <command> [<sub-command>]`` or a backticked
 #: ``repro <command> [<sub-command>]`` (a reflowed span may break a line).
@@ -100,18 +101,21 @@ def test_no_dangling_doc_cross_references():
 
 def test_docs_name_only_existing_cli_commands():
     """A command or sub-command removed from the CLI must not live on in
-    the documents or the CLI's own usage examples."""
+    the documents, in the CLI's own usage examples or in any docstring,
+    comment or message of the Python sources."""
     commands = _subcommands(repro.cli.build_parser())
     assert list(_invalid_cli_uses("`repro bogus --check`", commands))
     assert list(_invalid_cli_uses("python -m repro fuzz bogus", commands))
     sources = {name: (REPO_ROOT / name).read_text(encoding="utf-8")
                for name in _CLI_DOCS}
-    sources["repro.cli docstring"] = repro.cli.__doc__
-    invalid = []
-    for name, text in sources.items():
-        assert _CLI_USE.search(text), f"{name} names no CLI command"
-        invalid += [f"{name}: {use!r}"
-                    for use in _invalid_cli_uses(text, commands)]
+    for directory in _CLI_SOURCE_DIRS:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            name = str(path.relative_to(REPO_ROOT))
+            sources[name] = path.read_text(encoding="utf-8")
+    for name in _CLI_DOCS + ("src/repro/cli.py",):
+        assert _CLI_USE.search(sources[name]), f"{name} names no CLI command"
+    invalid = [f"{name}: {use!r}" for name, text in sources.items()
+               for use in _invalid_cli_uses(text, commands)]
     assert not invalid, "\n".join(invalid)
 
 
@@ -125,7 +129,7 @@ def test_design_md_covers_its_citations():
 
 def test_readme_quickstart_mentions_the_cli_surface():
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    for needle in ("repro protocols", "repro sweep", "repro shard",
+    for needle in ("repro list", "repro sweep", "repro shard",
                    "repro fuzz", "pytest", "EXPERIMENTS.md", "DESIGN.md"):
         assert needle in text, f"README.md must mention {needle!r}"
 
@@ -135,6 +139,6 @@ def test_experiments_md_covers_the_fuzzing_guide():
     fuzzing guide; the document must actually contain it."""
     text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
     assert "Fuzzing TSO conformance" in text
-    for needle in ("repro fuzz run", "repro fuzz merge", "repro fuzz shrink",
-                   "fuzz-smoke", "tso-conformance"):
+    for needle in ("repro sweep fuzz-smoke", "repro shard merge fuzz-smoke",
+                   "repro fuzz shrink", "tso-conformance"):
         assert needle in text, f"EXPERIMENTS.md must mention {needle!r}"

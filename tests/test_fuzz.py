@@ -13,8 +13,9 @@ Four properties are load-bearing:
   ``MESI-droppedinv`` mutant (``tests/_mutant.py``) is reported as a TSO
   violation, and the counterexample shrinks to a minimal test that still
   violates.
-* **CLI surface** — ``repro fuzz list/cells/run/replay/shrink/merge`` and
-  ``repro litmus --random``.
+* **CLI surface** — a campaign through ``repro list campaigns``,
+  ``repro sweep``, ``repro shard run/merge`` and ``repro fuzz
+  replay/shrink``, and ``repro litmus --random``.
 """
 
 import json
@@ -121,6 +122,20 @@ def test_campaign_validation():
         tiny_campaign(num_threads=(4,), ops_per_thread=(5,))
     with pytest.raises(ValueError, match="fence_permille"):
         tiny_campaign(fence_permille=(1500,))
+
+
+@pytest.mark.parametrize("threads, ops", [(8, 2), (5, 3)])
+def test_campaign_refuses_more_threads_than_the_oracle_handles(threads, ops):
+    # Both shapes stay within MAX_TOTAL_OPS, yet over one variable their
+    # reference enumeration exhausts memory or takes minutes per test.
+    with pytest.raises(ValueError, match="beyond 4 threads"):
+        tiny_campaign(num_threads=(threads,), ops_per_thread=(ops,),
+                      num_vars=(1,))
+
+
+def test_campaign_accepts_the_largest_tractable_shape():
+    spec = tiny_campaign(num_threads=(4,), ops_per_thread=(4,), num_vars=(1,))
+    assert spec.shapes() == [(4, 4, 1, 150)]
 
 
 def test_campaign_subset_overrides():
@@ -428,20 +443,21 @@ def test_replay_cell_matches_campaign_verdict():
 # ------------------------------------------------------------------ CLI
 
 def test_cli_fuzz_list(capsys):
-    assert main(["fuzz", "list"]) == 0
+    assert main(["list", "campaigns"]) == 0
     out = capsys.readouterr().out
     assert "fuzz-smoke" in out and "tso-conformance" in out
 
 
 def test_cli_fuzz_cells(capsys):
-    assert main(["fuzz", "cells", "fuzz-smoke", "--seeds", "2",
+    assert main(["sweep", "fuzz-smoke", "--cells", "--seeds", "2",
                  "--protocols", "MESI"]) == 0
     out = capsys.readouterr().out
-    assert "fuzz:s0:" in out and "fuzz:s1:" in out
+    assert out.startswith("Campaign fuzz-smoke: 2 cells")
+    assert "fuzz:s0:" in out and "fuzz:s1:" in out and "fuzz:s2:" not in out
 
 
 def test_cli_fuzz_run_conformant(tmp_path, capsys):
-    args = ["fuzz", "run", "fuzz-smoke", "--seeds", "2",
+    args = ["sweep", "fuzz-smoke", "--seeds", "2",
             "--protocols", "MESI,TSO-CC-4-12-3", "--jobs", "1",
             "--cache-dir", str(tmp_path)]
     assert main(args) == 0
@@ -453,7 +469,7 @@ def test_cli_fuzz_run_conformant(tmp_path, capsys):
 
 
 def test_cli_fuzz_run_reports_violations(tmp_path, capsys):
-    code = main(["fuzz", "run", "fuzz-smoke", "--seeds", "10",
+    code = main(["sweep", "fuzz-smoke", "--seeds", "10",
                  "--protocols", _mutant.MUTANT_PROTOCOL, "--jobs", "1",
                  "--no-cache"])
     # fuzz-smoke axes (5 ops) may or may not catch this mutant in 10
@@ -473,7 +489,7 @@ def test_cli_fuzz_run_teeth_exit_code(monkeypatch, capsys):
     spec = tiny_campaign(name="cli-teeth",
                          protocols=(_mutant.MUTANT_PROTOCOL,), **TEETH)
     monkeypatch.setitem(fuzz.CAMPAIGNS, "cli-teeth", spec)
-    code = main(["fuzz", "run", "cli-teeth", "--jobs", "1", "--no-cache"])
+    code = main(["sweep", "cli-teeth", "--jobs", "1", "--no-cache"])
     captured = capsys.readouterr()
     assert code == 1
     assert "FORBIDDEN OUTCOMES OBSERVED" in captured.err
@@ -493,7 +509,7 @@ def test_cli_fuzz_run_hints_pin_the_failing_shape(monkeypatch, capsys):
     spec = tiny_campaign(name="cli-teeth-shape",
                          protocols=(_mutant.MUTANT_PROTOCOL,), **shaped)
     monkeypatch.setitem(fuzz.CAMPAIGNS, "cli-teeth-shape", spec)
-    code = main(["fuzz", "run", "cli-teeth-shape", "--jobs", "1",
+    code = main(["sweep", "cli-teeth-shape", "--jobs", "1",
                  "--no-cache"])
     captured = capsys.readouterr()
     assert code == 1
@@ -538,15 +554,16 @@ def test_cli_fuzz_sharded_run_and_merge(tmp_path, capsys):
     overrides = ["--seeds", "2", "--protocols", "MESI,TSO-CC-4-12-3"]
     shard_dirs = [str(tmp_path / f"shard-{i}") for i in range(2)]
     for index in range(2):
-        code = main(["fuzz", "run", "fuzz-smoke", "--shard-index", str(index),
-                     "--shard-count", "2", "--jobs", "1",
+        code = main(["shard", "run", "fuzz-smoke", "--shard-index",
+                     str(index), "--shard-count", "2", "--jobs", "1",
                      "--cache-dir", shard_dirs[index]] + overrides)
         assert code == 0
         out = capsys.readouterr().out
-        assert "CONFORMANT" not in out or "4 of 4" in out
+        assert f"shard {index}/2: owns" in out
+        assert "CONFORMANT" not in out or "owns 4 of 4" in out
 
     merged = str(tmp_path / "merged")
-    incomplete = main(["fuzz", "merge", "fuzz-smoke", "--from", shard_dirs[0],
+    incomplete = main(["shard", "merge", "fuzz-smoke", "--from", shard_dirs[0],
                        "--cache-dir", merged] + overrides)
     counts = [sum(1 for _ in Path(d).glob("*/*.json")) for d in shard_dirs]
     assert sum(counts) == 4  # disjoint full cover
@@ -556,13 +573,13 @@ def test_cli_fuzz_sharded_run_and_merge(tmp_path, capsys):
     else:
         assert incomplete == 0
 
-    complete = main(["fuzz", "merge", "fuzz-smoke", "--from", shard_dirs[0],
+    complete = main(["shard", "merge", "fuzz-smoke", "--from", shard_dirs[0],
                      "--from", shard_dirs[1], "--cache-dir", merged]
                     + overrides)
     assert complete == 0
     assert "complete" in capsys.readouterr().out
 
-    code = main(["fuzz", "run", "fuzz-smoke", "--jobs", "1",
+    code = main(["sweep", "fuzz-smoke", "--jobs", "1",
                  "--cache-dir", merged] + overrides)
     assert code == 0
     out = capsys.readouterr().out
@@ -570,16 +587,23 @@ def test_cli_fuzz_sharded_run_and_merge(tmp_path, capsys):
 
 
 def test_cli_fuzz_usage_errors(capsys):
-    assert main(["fuzz", "run", "no-such-campaign", "--no-cache"]) == 2
+    assert main(["sweep", "no-such-campaign", "--no-cache"]) == 2
+    assert "unknown sweep or campaign" in capsys.readouterr().err
+    assert main(["fuzz", "replay", "no-such-campaign", "--seed", "0"]) == 2
     assert "unknown fuzz campaign" in capsys.readouterr().err
-    assert main(["fuzz", "run", "fuzz-smoke", "--protocols", "BOGUS",
+    assert main(["fuzz", "replay", "fuzz-smoke", "--seed", "0",
+                 "--protocol", "BOGUS"]) == 2
+    assert "BOGUS" in capsys.readouterr().err
+    assert main(["sweep", "fuzz-smoke", "--protocols", "BOGUS",
                  "--no-cache"]) == 2
     assert "BOGUS" in capsys.readouterr().err
-    assert main(["fuzz", "run", "fuzz-smoke", "--shard-index", "0",
+    assert main(["sweep", "fuzz-smoke", "--shard-index", "0",
                  "--no-cache"]) == 2
     assert "together" in capsys.readouterr().err
-    assert main(["fuzz", "cells", "fuzz-smoke", "--seeds", "0"]) == 2
-    assert "num_seeds" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "fuzz-smoke", "--seeds", "0", "--cells"])
+    assert excinfo.value.code == 2
+    assert "argument --seeds: invalid" in capsys.readouterr().err
 
 
 def test_cli_litmus_random(capsys):
@@ -587,4 +611,6 @@ def test_cli_litmus_random(capsys):
                  "--iterations", "2", "--tests", "SB"]) == 0
     out = capsys.readouterr().out
     assert "rand-3" in out and "rand-4" in out and "SB" in out
-    assert main(["litmus", "--random", "-1"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["litmus", "--random", "-1"])
+    assert excinfo.value.code == 2

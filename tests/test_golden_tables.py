@@ -11,7 +11,9 @@ commands print, run in-process at ``--jobs 1``:
   footer does not depend on what an earlier run left behind;
 * ``run``, plain and as each shard of two; ``shard plan`` (whose table
   prints every cell's cache-key prefix and shard) and ``shard run``;
-* ``fuzz run``, complete and as one shard of two.
+* ``sweep`` of the ``fuzz-smoke`` campaign, complete and as one shard of
+  two.  Their files keep the ``fuzz-run-`` stem of the command that
+  printed the same bytes before campaigns ran through ``sweep``.
 
 Every path from simulated cells to a printed table is covered: a refactor
 of the reporting code must leave every file byte-identical.  After an
@@ -35,7 +37,7 @@ _FIGURE_PLATFORM = ["--cores", "2", "--scale", "0.1", "--jobs", "1"]
 _SWEEP_FLAGS = ["--jobs", "1", "--no-cache"]
 _RUN = ["run", "fft", "--protocol", "MESI", "--protocol", "TSO-CC-4-12-3",
         "--cores", "2", "--scale", "0.1"] + _SWEEP_FLAGS
-_FUZZ_RUN = ["fuzz", "run", "fuzz-smoke", "--seeds", "3"] + _SWEEP_FLAGS
+_FUZZ_RUN = ["sweep", "fuzz-smoke", "--seeds", "3"] + _SWEEP_FLAGS
 
 #: Golden file stem -> ``repro`` argv.  Figures also get ``--cache-dir``.
 COMMANDS = {

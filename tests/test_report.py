@@ -450,8 +450,9 @@ def test_cli_report_sweep_empty_cache(tmp_path, capsys):
     ("--scales", "0.5")])
 def test_cli_report_sweep_refuses_campaign_axis_overrides(tmp_path, capsys,
                                                           flag, value):
-    # A fuzz campaign has none of these axes: the flag is refused by name
-    # before the cache is read, never silently dropped.
+    # A fuzz campaign has no workload, core or scale axis, and NOPE is no
+    # registered protocol: the flag is refused by name before the cache is
+    # read, never silently dropped.
     assert main(["report", "sweep", "fuzz-smoke", flag, value,
                  "--cache-dir", str(tmp_path)]) == 2
     assert flag in capsys.readouterr().err

@@ -306,7 +306,7 @@ def test_sweep_accessors_and_tabulation(tmp_path):
 # ------------------------------------------------------------------ CLI
 
 def test_cli_sweep_list(capsys):
-    assert main(["sweep", "--list"]) == 0
+    assert main(["list", "sweeps"]) == 0
     out = capsys.readouterr().out
     for name in ("timestamp-bits", "access-counter", "decay",
                  "shared-ro", "protocol-baselines"):
@@ -343,9 +343,3 @@ def test_cli_sweep_runs_small_subset(tmp_path, capsys):
     assert "TSO-CC-4-6-3" in out and "cycles" in out
     assert (tmp_path / "results" / "sweep_timestamp-bits.txt").exists()
 
-
-def test_cli_sweep_help_smoke(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "--help"])
-    assert excinfo.value.code == 0
-    assert "--list" in capsys.readouterr().out

@@ -293,9 +293,11 @@ def test_cli_trace_and_suites_exit_codes(tmp_path, monkeypatch, capsys):
                  "--cores", "2", "--scale", "0.1"]) == 2
     assert main(["trace", "ls"]) == 0
     capsys.readouterr()
-    assert main(["suites"]) == 0
+    assert main(["list", "suites"]) == 0
     assert "scenario-smoke" in capsys.readouterr().out
-    assert main(["suites", "suite:parsec"]) == 0
+    assert main(["list", "suites", "suite:parsec"]) == 0
     assert "blackscholes" in capsys.readouterr().out
-    assert main(["suites", "nope"]) == 2
+    assert main(["list", "suites", "parsec"]) == 0
+    assert "blackscholes" in capsys.readouterr().out
+    assert main(["list", "suites", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err
